@@ -602,6 +602,33 @@ let mrc_cmd =
   in
   let run_checked file line_size sets ways sample_rate budget seed compare
       jobs window epochs =
+    (* Geometry first: a bad --sets must not be reported as a --jobs error,
+       and the engines' own invalid_arg must never reach the user. *)
+    let pow2 n = n > 0 && n land (n - 1) = 0 in
+    let knob_error =
+      if not (pow2 sets) then
+        Some
+          (Printf.sprintf "--sets must be a positive power of two, got %d"
+             sets)
+      else if ways <= 0 then
+        Some (Printf.sprintf "--ways must be positive, got %d" ways)
+      else if not (pow2 line_size) then
+        Some
+          (Printf.sprintf
+             "--line-size must be a positive power of two, got %d" line_size)
+      else
+        match (sample_rate, budget) with
+        | Some r, _ when not (r > 0. && r <= 1.) ->
+            Some (Printf.sprintf "--sample-rate must be in (0, 1], got %g" r)
+        | _, Some b when b < 1 ->
+            Some (Printf.sprintf "--budget must be positive, got %d" b)
+        | _ -> None
+    in
+    (match knob_error with
+    | Some msg ->
+        Format.eprintf "colcache mrc: %s@." msg;
+        exit 1
+    | None -> ());
     if jobs <= 0 then
       `Error
         ( false,

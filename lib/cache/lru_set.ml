@@ -5,11 +5,14 @@ type t = {
   keys : int array;
   prev : int array;
   next : int array;
-  index : (int, int) Hashtbl.t;
+  index : Int_table.Map.t;
   mutable head : int;
   mutable tail : int;
   mutable free : int list;
   mutable length : int;
+  (* key evicted by the most recent [insert]; [min_int] when it took a free
+     slot *)
+  mutable evicted : int;
 }
 
 let create ~capacity =
@@ -19,16 +22,19 @@ let create ~capacity =
     keys = Array.make capacity 0;
     prev = Array.make capacity (-1);
     next = Array.make capacity (-1);
-    index = Hashtbl.create (2 * capacity);
+    index = Int_table.Map.create capacity;
     head = -1;
     tail = -1;
     free = List.init capacity (fun i -> i);
     length = 0;
+    evicted = min_int;
   }
 
 let capacity t = t.capacity
 let length t = t.length
-let mem t key = Hashtbl.mem t.index key
+let slot t key = Int_table.Map.find t.index key ~default:(-1)
+let mem t key = slot t key >= 0
+let evicted t = t.evicted
 
 let unlink t slot =
   let p = t.prev.(slot) and n = t.next.(slot) in
@@ -42,46 +48,59 @@ let push_front t slot =
   t.head <- slot;
   if t.tail < 0 then t.tail <- slot
 
+let promote t slot =
+  if t.head <> slot then begin
+    unlink t slot;
+    push_front t slot
+  end
+
+let insert t key =
+  let slot =
+    match t.free with
+    | slot :: rest ->
+        t.free <- rest;
+        t.evicted <- min_int;
+        slot
+    | [] ->
+        let victim = t.tail in
+        let victim_key = t.keys.(victim) in
+        unlink t victim;
+        Int_table.Map.remove t.index victim_key;
+        t.length <- t.length - 1;
+        t.evicted <- victim_key;
+        victim
+  in
+  t.keys.(slot) <- key;
+  Int_table.Map.replace t.index key slot;
+  push_front t slot;
+  t.length <- t.length + 1;
+  slot
+
 let touch t key =
-  match Hashtbl.find_opt t.index key with
-  | Some slot ->
-      if t.head <> slot then begin
-        unlink t slot;
-        push_front t slot
-      end;
-      `Hit
-  | None ->
-      let evicted, slot =
-        match t.free with
-        | slot :: rest ->
-            t.free <- rest;
-            (None, slot)
-        | [] ->
-            let victim = t.tail in
-            let victim_key = t.keys.(victim) in
-            unlink t victim;
-            Hashtbl.remove t.index victim_key;
-            t.length <- t.length - 1;
-            (Some victim_key, victim)
-      in
-      t.keys.(slot) <- key;
-      Hashtbl.replace t.index key slot;
-      push_front t slot;
-      t.length <- t.length + 1;
-      `Miss evicted
+  let s = slot t key in
+  if s >= 0 then begin
+    promote t s;
+    `Hit
+  end
+  else begin
+    let full = t.free = [] in
+    ignore (insert t key);
+    `Miss (if full then Some t.evicted else None)
+  end
 
 let remove t key =
-  match Hashtbl.find_opt t.index key with
-  | None -> false
-  | Some slot ->
-      unlink t slot;
-      Hashtbl.remove t.index key;
-      t.free <- slot :: t.free;
-      t.length <- t.length - 1;
-      true
+  let s = slot t key in
+  s >= 0
+  && begin
+       unlink t s;
+       Int_table.Map.remove t.index key;
+       t.free <- s :: t.free;
+       t.length <- t.length - 1;
+       true
+     end
 
 let clear t =
-  Hashtbl.reset t.index;
+  Int_table.Map.clear t.index;
   t.head <- -1;
   t.tail <- -1;
   t.free <- List.init t.capacity (fun i -> i);

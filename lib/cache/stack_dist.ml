@@ -25,7 +25,9 @@ type t = {
   mutable cold : int;
   mutable overflow : int;
   mutable n_accesses : int;
-  seen : (int, unit) Hashtbl.t;  (* lines ever referenced (cold detection) *)
+  (* Lines ever referenced (cold detection). Every line in a stack is in
+     it, so only stack misses probe it. *)
+  seen : Int_table.Set.t;
 }
 
 let create ?translate ~line_size ~sets ~max_ways () =
@@ -49,7 +51,7 @@ let create ?translate ~line_size ~sets ~max_ways () =
     cold = 0;
     overflow = 0;
     n_accesses = 0;
-    seen = Hashtbl.create 1024;
+    seen = Int_table.Set.create 512;
   }
 
 let max_ways t = t.w
@@ -85,13 +87,13 @@ let touch_raw t ~write ~counted ~traced addr =
     incr i
   done;
   let res = ref (if traced > 0 && !d >= 0 && !d < traced then 1 else 0) in
+  let first = !d < 0 && Int_table.Set.add t.seen line in
   if counted then begin
     t.n_accesses <- t.n_accesses + 1;
     if !d >= 0 then t.hist.(!d) <- t.hist.(!d) + 1
-    else if Hashtbl.mem t.seen line then t.overflow <- t.overflow + 1
-    else t.cold <- t.cold + 1
+    else if first then t.cold <- t.cold + 1
+    else t.overflow <- t.overflow + 1
   end;
-  if not (Hashtbl.mem t.seen line) then Hashtbl.add t.seen line ();
   (* the accessed line's own dirtiness before the shift overwrites its slot *)
   let old_dirty = if !d >= 0 then Array.unsafe_get t.dirty_min (base + !d) else w + 1 in
   (* Shift positions 0..shift-1 down one. The line leaving position a-1 for
@@ -158,7 +160,7 @@ let reset_counts t =
 let accesses t = t.n_accesses
 let cold_misses t = t.cold
 let overflows t = t.overflow
-let distinct_lines t = Hashtbl.length t.seen
+let distinct_lines t = Int_table.Set.length t.seen
 let histogram t = Array.copy t.hist
 
 let check_ways t a name =
@@ -310,9 +312,8 @@ let merge_into dst src =
   dst.cold <- dst.cold + src.cold;
   dst.overflow <- dst.overflow + src.overflow;
   dst.n_accesses <- dst.n_accesses + src.n_accesses;
-  Hashtbl.iter
-    (fun line () ->
-      if not (Hashtbl.mem dst.seen line) then Hashtbl.add dst.seen line ())
+  Int_table.Set.iter
+    (fun line -> ignore (Int_table.Set.add dst.seen line))
     src.seen
 
 (* Chunked [Packed.sub] views keep every worker streaming the (possibly
@@ -527,7 +528,7 @@ module Sampled = struct
     if p >= 0 then begin
       let e = Array.unsafe_get t.entries p in
       touch e.engine ~write ~counted:true taddr;
-      let d = Hashtbl.length e.engine.seen in
+      let d = distinct_lines e.engine in
       if d <> e.distinct then begin
         t.total_distinct <- t.total_distinct + (d - e.distinct);
         e.distinct <- d;
@@ -586,7 +587,7 @@ module Sampled = struct
           touch e.engine
             ~write:(Bigarray.Array1.unsafe_get kinds i = '\001')
             ~counted:true taddr;
-          let d = Hashtbl.length e.engine.seen in
+          let d = distinct_lines e.engine in
           if d <> e.distinct then begin
             t.total_distinct <- t.total_distinct + (d - e.distinct);
             e.distinct <- d
@@ -616,7 +617,7 @@ module Sampled = struct
     for p = 0 to dst.sel_len - 1 do
       let de = dst.entries.(p) and se = src.entries.(p) in
       merge_exact de.engine se.engine;
-      let d = Hashtbl.length de.engine.seen in
+      let d = distinct_lines de.engine in
       dst.total_distinct <- dst.total_distinct + (d - de.distinct);
       de.distinct <- d
     done;

@@ -52,6 +52,25 @@ let run_scenario ?bug (sc : Scenario.t) =
         (Stack_dist.overflows engine)
         hist_total
         (Stack_dist.accesses engine);
+    (* The cold/overflow split against a naive first-touch count: a line's
+       first reference is its one cold miss. Conservation alone cannot see
+       a cold-line memory that forgets a line (an overflow turns cold). *)
+    let lines = Hashtbl.create 64 in
+    let shift = ref 0 in
+    while 1 lsl !shift < cfg.Sassoc.line_size do incr shift done;
+    List.iter
+      (fun (a : Memtrace.Access.t) ->
+        Hashtbl.replace lines (a.addr lsr !shift) ())
+      accesses;
+    let first_touches = Hashtbl.length lines in
+    let pair_naive name engine_v naive_v =
+      if engine_v <> naive_v then
+        failf "%s: stack-distance %d, naive first-touch model %d" name
+          engine_v naive_v
+    in
+    pair_naive "cold misses" (Stack_dist.cold_misses engine) first_touches;
+    pair_naive "distinct lines" (Stack_dist.distinct_lines engine)
+      first_touches;
     let curve = Stack_dist.miss_curve engine in
     if curve.(0) <> Stack_dist.accesses engine then
       failf "miss_curve.(0) = %d, expected the access count %d" curve.(0)
@@ -76,6 +95,10 @@ let run_scenario ?bug (sc : Scenario.t) =
       pair "misses" r.Stats.misses e.Stats.misses;
       pair "evictions" r.Stats.evictions e.Stats.evictions;
       pair "writebacks" r.Stats.writebacks e.Stats.writebacks;
+      if ways = w then
+        pair_naive "overflows"
+          (Stack_dist.overflows engine)
+          (r.Stats.misses - first_touches);
       if curve.(ways) <> e.Stats.misses then
         failf "miss_curve.(%d) = %d disagrees with stats misses %d" ways
           curve.(ways) e.Stats.misses

@@ -10,7 +10,9 @@
     associativity's accesses, hits, misses, evictions and writebacks must
     agree exactly — the Mattson inclusion property made executable. This is
     what lets the sweep experiments read whole configuration curves out of
-    one pass. *)
+    one pass. The cold/overflow split is pinned too: [cold_misses] and
+    [distinct_lines] must equal a naive count of first line touches, and
+    [overflows] the [W]-way misses minus that count. *)
 
 type divergence = {
   step : int;

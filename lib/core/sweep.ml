@@ -32,6 +32,45 @@ let in_ranges r addr =
   in
   go 0
 
+let page_fn page_size =
+  if page_size > 0 && page_size land (page_size - 1) = 0 then (
+    let shift = ref 0 in
+    while 1 lsl !shift < page_size do
+      incr shift
+    done;
+    let shift = !shift in
+    fun addr -> addr lsr shift)
+  else fun addr -> addr / page_size
+
+(* Page -> column-group map values: a group index, or [pinned] for the pages
+   of pinned scratchpad regions; [unclaimed] is the [find] default. *)
+let pinned = -1
+let unclaimed = min_int
+
+(* Claim pages [base, base+size) for [group] in a page map; a page claimed
+   by two different groups makes the decomposition infeasible. *)
+let claim page_map ~page_size ~group base size =
+  if size > 0 then
+    let first = base / page_size in
+    let last = (base + size - 1) / page_size in
+    for page = first to last do
+      let g = Cache.Int_table.Map.find page_map page ~default:unclaimed in
+      if g = unclaimed then Cache.Int_table.Map.replace page_map page group
+      else if g <> group then raise Infeasible
+    done
+
+(* The column group owning an access's page, or [pinned] for an in-range
+   access to a pinned page; raises [Infeasible] for traffic the
+   decomposition cannot attribute (see [eval]). *)
+let[@inline] group_of page_map ~scratch page addr =
+  match page_map with
+  | None -> 0
+  | Some map ->
+      let g = Cache.Int_table.Map.find map page ~default:unclaimed in
+      if g < 0 && (g <> pinned || not (in_ranges scratch addr)) then
+        raise Infeasible;
+      g
+
 let feasible_cache cache =
   cache.Sassoc.policy = Cache.Policy.Lru && not cache.Sassoc.classify
 
@@ -51,16 +90,7 @@ let feasible_cache cache =
    to an isolated group — [Infeasible]. *)
 let eval ?requests ~cache ~timing ~page_size ~tlb_entries ~scratch ~uncached
     ~page_map ~groups ~group_ways ~setup_cycles packed_list =
-  let page_of =
-    if page_size > 0 && page_size land (page_size - 1) = 0 then (
-      let shift = ref 0 in
-      while 1 lsl !shift < page_size do
-        incr shift
-      done;
-      let shift = !shift in
-      fun addr -> addr lsr shift)
-    else fun addr -> addr / page_size
-  in
+  let page_of = page_fn page_size in
   let page_table = Vm.Page_table.create ~page_size () in
   let tlb = Vm.Tlb.create ~entries:tlb_entries ~page_table in
   (* Request windows index the concatenation of the packed traces, exactly
@@ -132,7 +162,8 @@ let eval ?requests ~cache ~timing ~page_size ~tlb_entries ~scratch ~uncached
               last_page := page
             end);
            cost := !cost + timing.Timing.hit_cycles;
-           let feed g =
+           let g = group_of page_map ~scratch page addr in
+           if g >= 0 then begin
              let kind =
                Memtrace.Packed.kind_of_code
                  (Char.code (Bigarray.Array1.unsafe_get kinds i))
@@ -149,17 +180,7 @@ let eval ?requests ~cache ~timing ~page_size ~tlb_entries ~scratch ~uncached
                  cost := !cost + timing.Timing.writeback_penalty
              end
              else Stack_dist.access (Array.unsafe_get groups g) ~kind addr
-           in
-           match page_map with
-           | None -> feed 0
-           | Some map -> (
-               match Hashtbl.find_opt map page with
-               | Some g when g >= 0 -> feed g
-               | Some _ ->
-                   (* pinned page: a guaranteed hit in its preloaded columns,
-                      but only inside the pinned byte range *)
-                   if not (in_ranges scratch addr) then raise Infeasible
-               | None -> raise Infeasible)
+           end
          end);
         (if !in_window then begin
            win_cycles := !win_cycles + !cost;
@@ -231,16 +252,7 @@ let eval ?requests ~cache ~timing ~page_size ~tlb_entries ~scratch ~uncached
 let eval_sampled ~timing ~page_size ~tlb_entries ~scratch ~uncached ~page_map
     ~(groups : Stack_dist.Sampled.t array) ~group_ways ~setup_cycles
     packed_list =
-  let page_of =
-    if page_size > 0 && page_size land (page_size - 1) = 0 then (
-      let shift = ref 0 in
-      while 1 lsl !shift < page_size do
-        incr shift
-      done;
-      let shift = !shift in
-      fun addr -> addr lsr shift)
-    else fun addr -> addr / page_size
-  in
+  let page_of = page_fn page_size in
   let page_table = Vm.Page_table.create ~page_size () in
   let tlb = Vm.Tlb.create ~entries:tlb_entries ~page_table in
   let n_total = ref 0 in
@@ -266,21 +278,13 @@ let eval_sampled ~timing ~page_size ~tlb_entries ~scratch ~uncached ~page_map
              ignore (Vm.Tlb.lookup_page_quick tlb page);
              last_page := page
            end);
-          let feed g =
-            let kind =
-              Memtrace.Packed.kind_of_code
-                (Char.code (Bigarray.Array1.unsafe_get kinds i))
-            in
-            Stack_dist.Sampled.access (Array.unsafe_get groups g) ~kind addr
-          in
-          match page_map with
-          | None -> feed 0
-          | Some map -> (
-              match Hashtbl.find_opt map page with
-              | Some g when g >= 0 -> feed g
-              | Some _ ->
-                  if not (in_ranges scratch addr) then raise Infeasible
-              | None -> raise Infeasible)
+          let g = group_of page_map ~scratch page addr in
+          if g >= 0 then
+            Stack_dist.Sampled.access (Array.unsafe_get groups g)
+              ~kind:
+                (Memtrace.Packed.kind_of_code
+                   (Char.code (Bigarray.Array1.unsafe_get kinds i)))
+              addr
         end
       done)
     packed_list;
@@ -340,25 +344,15 @@ let standard_sampled ?translate ?seed ?min_sets ?budget ~rate ~cache ~timing
 type plan = {
   plan_scratch : ranges;
   plan_uncached : ranges;
-  plan_page_map : (int, int) Hashtbl.t;
+  plan_page_map : Cache.Int_table.Map.t;
   plan_group_ways : int array;
   plan_setup : int;
 }
 
 let decompose ~cache ~timing ~page_size ~part ~copy_in =
   let line_size = cache.Sassoc.line_size in
-  let page_map : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let claim ~group base size =
-    if size > 0 then
-      let first = base / page_size in
-      let last = (base + size - 1) / page_size in
-      for page = first to last do
-        match Hashtbl.find_opt page_map page with
-        | None -> Hashtbl.add page_map page group
-        | Some g when g = group -> ()
-        | Some _ -> raise Infeasible
-      done
-  in
+  let page_map = Cache.Int_table.Map.create 64 in
+  let claim = claim page_map ~page_size in
   let scratch = ref [] in
   let uncached = ref [] in
   let scratch_mask = ref Bitmask.empty in
@@ -386,7 +380,7 @@ let decompose ~cache ~timing ~page_size ~part ~copy_in =
           end;
           scratch := (pl.Partition.base, size) :: !scratch;
           scratch_mask := Bitmask.union !scratch_mask mask;
-          claim ~group:(-1) pl.Partition.base size
+          claim ~group:pinned pl.Partition.base size
       | Partition.Cached, Some mask ->
           let group =
             match
@@ -489,16 +483,6 @@ let check_jobs ~jobs ~sets name =
       (Printf.sprintf "Sweep.%s: more shards (jobs=%d) than sets (%d)" name
          jobs sets)
 
-let page_fn page_size =
-  if page_size > 0 && page_size land (page_size - 1) = 0 then (
-    let shift = ref 0 in
-    while 1 lsl !shift < page_size do
-      incr shift
-    done;
-    let shift = !shift in
-    fun addr -> addr lsr shift)
-  else fun addr -> addr / page_size
-
 (* The serial half: the routing loop of [eval] without any engine work —
    gap sums, uncached recognition, the exact TLB replay with the
    consecutive-same-page memo, and the full feasibility checks (unclaimed
@@ -531,14 +515,7 @@ let route_serial ~page_size ~tlb_entries ~scratch ~uncached ~page_map
              ignore (Vm.Tlb.lookup_page_quick tlb page);
              last_page := page
            end);
-          match page_map with
-          | None -> ()
-          | Some map -> (
-              match Hashtbl.find_opt map page with
-              | Some g when g >= 0 -> ()
-              | Some _ ->
-                  if not (in_ranges scratch addr) then raise Infeasible
-              | None -> raise Infeasible)
+          ignore (group_of page_map ~scratch page addr)
         end
       done)
     packed_list;
@@ -583,13 +560,14 @@ let sharded_group_pass ~jobs ~cache ~uncached ~page_map ~page_of ~group_ways
             in
             match page_map with
             | None -> feed 0
-            | Some map -> (
-                match Hashtbl.find_opt map (page_of addr) with
-                | Some g when g >= 0 -> feed g
-                | Some _ | None ->
-                    (* pinned or unclaimed: the serial routing pass already
-                       validated (or rejected) this traffic *)
-                    ())
+            | Some map ->
+                let g =
+                  Cache.Int_table.Map.find map (page_of addr)
+                    ~default:unclaimed
+                in
+                (* pinned or unclaimed: the serial routing pass already
+                   validated (or rejected) this traffic *)
+                if g >= 0 then feed g
           end
         done)
       packed_list;
@@ -812,18 +790,8 @@ let masked ?requests ~cache ~timing ~page_size ~tlb_entries ~regions
   else
     try
       let line_size = cache.Sassoc.line_size in
-      let page_map : (int, int) Hashtbl.t = Hashtbl.create 64 in
-      let claim ~group base size =
-        if size > 0 then
-          let first = base / page_size in
-          let last = (base + size - 1) / page_size in
-          for page = first to last do
-            match Hashtbl.find_opt page_map page with
-            | None -> Hashtbl.add page_map page group
-            | Some g when g = group -> ()
-            | Some _ -> raise Infeasible
-          done
-      in
+      let page_map = Cache.Int_table.Map.create 64 in
+      let claim = claim page_map ~page_size in
       let masks = ref [] in
       let engines = ref [] in
       let n_groups = ref 0 in

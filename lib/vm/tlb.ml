@@ -5,14 +5,15 @@ type outcome =
 type t = {
   page_table : Page_table.t;
   lru : Cache.Lru_set.t;
-  cached : (int, Tint.t) Hashtbl.t;  (* resident page -> tint snapshot *)
+  (* tint snapshot of each resident page, indexed by its LRU slot *)
+  tints : Tint.t array;
   mutable hits : int;
   mutable misses : int;
   mutable flushes : int;
   mutable entry_flushes : int;
-  (* page evicted by the most recent [lookup_page_quick] miss; [min_int]
-     when it hit or evicted nothing. Lets the batched replay invalidate its
-     page memo without allocating an option per lookup. *)
+  (* page evicted by the most recent lookup miss; [min_int] when it hit or
+     evicted nothing. Lets the batched replay invalidate its page memo
+     without allocating an option per lookup. *)
   mutable last_evicted : int;
 }
 
@@ -21,7 +22,7 @@ let create ~entries ~page_table =
   {
     page_table;
     lru = Cache.Lru_set.create ~capacity:entries;
-    cached = Hashtbl.create (2 * entries);
+    tints = Array.make entries Tint.default;
     hits = 0;
     misses = 0;
     flushes = 0;
@@ -29,47 +30,32 @@ let create ~entries ~page_table =
     last_evicted = min_int;
   }
 
+(* The per-access entry the machine's batched replay loop uses: one index
+   probe on a hit, and no allocation either way. The outcome is observable
+   as a delta on [misses]. *)
+let lookup_page_quick t page =
+  let s = Cache.Lru_set.slot t.lru page in
+  if s >= 0 then begin
+    t.hits <- t.hits + 1;
+    t.last_evicted <- min_int;
+    Cache.Lru_set.promote t.lru s;
+    Array.unsafe_get t.tints s
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    let tint = Page_table.tint_of_page t.page_table page in
+    let s = Cache.Lru_set.insert t.lru page in
+    t.last_evicted <- Cache.Lru_set.evicted t.lru;
+    Array.unsafe_set t.tints s tint;
+    tint
+  end
+
 let lookup_page t page =
-  match Hashtbl.find_opt t.cached page with
-  | Some tint ->
-      t.hits <- t.hits + 1;
-      ignore (Cache.Lru_set.touch t.lru page);
-      (tint, Hit)
-  | None ->
-      t.misses <- t.misses + 1;
-      let tint = Page_table.tint_of_page t.page_table page in
-      (match Cache.Lru_set.touch t.lru page with
-      | `Hit -> assert false
-      | `Miss (Some evicted) -> Hashtbl.remove t.cached evicted
-      | `Miss None -> ());
-      Hashtbl.replace t.cached page tint;
-      (tint, Miss)
+  let m0 = t.misses in
+  let tint = lookup_page_quick t page in
+  (tint, if t.misses = m0 then Hit else Miss)
 
 let lookup t addr = lookup_page t (Page_table.page_of_addr t.page_table addr)
-
-(* [lookup_page] minus the tuple: the tint comes back bare and the outcome
-   is observable as a delta on [misses]. [Hashtbl.find] + exception instead
-   of [find_opt] keeps the hit path allocation-free — this is the per-access
-   entry the machine's batched replay loop uses. *)
-let lookup_page_quick t page =
-  match Hashtbl.find t.cached page with
-  | tint ->
-      t.hits <- t.hits + 1;
-      t.last_evicted <- min_int;
-      ignore (Cache.Lru_set.touch t.lru page);
-      tint
-  | exception Not_found ->
-      t.misses <- t.misses + 1;
-      let tint = Page_table.tint_of_page t.page_table page in
-      (match Cache.Lru_set.touch t.lru page with
-      | `Hit -> assert false
-      | `Miss (Some evicted) ->
-          Hashtbl.remove t.cached evicted;
-          t.last_evicted <- evicted
-      | `Miss None -> t.last_evicted <- min_int);
-      Hashtbl.replace t.cached page tint;
-      tint
-
 let last_evicted t = t.last_evicted
 
 (* Re-apply the LRU touch of a page that is guaranteed resident, without
@@ -79,9 +65,9 @@ let last_evicted t = t.last_evicted
    the touched entries to the front, so touching each once, oldest last-use
    first, reproduces the exact LRU state. *)
 let touch_resident t page =
-  match Cache.Lru_set.touch t.lru page with
-  | `Hit -> ()
-  | `Miss _ -> assert false
+  let s = Cache.Lru_set.slot t.lru page in
+  assert (s >= 0);
+  Cache.Lru_set.promote t.lru s
 
 (* Credit [n] hits without performing the lookups. Only sound when every
    skipped lookup is guaranteed to hit AND to leave the LRU state unchanged
@@ -94,15 +80,11 @@ let note_hits t n =
 
 let flush t =
   Cache.Lru_set.clear t.lru;
-  Hashtbl.reset t.cached;
   t.flushes <- t.flushes + 1
 
 let flush_page t page =
   let present = Cache.Lru_set.remove t.lru page in
-  if present then begin
-    Hashtbl.remove t.cached page;
-    t.entry_flushes <- t.entry_flushes + 1
-  end;
+  if present then t.entry_flushes <- t.entry_flushes + 1;
   present
 
 let hits t = t.hits

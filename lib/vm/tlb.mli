@@ -17,7 +17,8 @@ type outcome =
 
 val lookup_page : t -> int -> Tint.t * outcome
 (** Look a page up, walking the page table and installing the entry on a
-    miss (possibly evicting the LRU entry). *)
+    miss (possibly evicting the LRU entry). A wrapper over
+    {!lookup_page_quick}. *)
 
 val lookup : t -> int -> Tint.t * outcome
 (** [lookup t addr] = [lookup_page t (page_of_addr addr)]. *)
@@ -29,10 +30,9 @@ val lookup_page_quick : t -> int -> Tint.t
     machine's batched replay loop uses this on page crossings. *)
 
 val last_evicted : t -> int
-(** The page evicted by the most recent {!lookup_page_quick} miss, or
-    [min_int] when that lookup hit or evicted nothing. The batched replay
-    uses this to invalidate its page memo without allocating an option per
-    lookup. *)
+(** The page evicted by the most recent lookup miss, or [min_int] when that
+    lookup hit or evicted nothing. The batched replay uses this to
+    invalidate its page memo without allocating an option per lookup. *)
 
 val note_hits : t -> int -> unit
 (** Credit [n] TLB hits without performing lookups. Only sound for lookups

@@ -112,6 +112,18 @@ let test_overflow_bucket () =
   check_int "cold" 3 (Stack_dist.cold_misses engine);
   check_int "misses at 2 ways" 4 (Stack_dist.misses engine ~ways:2)
 
+let test_cold_overflow_hand_trace () =
+  (* 1 set, 1 way, A B A: A and B are first touches (cold); the second A
+     was pushed off the one-deep stack by B, so it is an overflow, not a
+     cold miss — the cold-line memory must remember A after its eviction. *)
+  let engine = Stack_dist.create ~line_size:16 ~sets:1 ~max_ways:1 () in
+  List.iter
+    (fun a -> Stack_dist.access engine ~kind:Access.Read a)
+    [ 0; 16; 0 ];
+  check_int "cold" 2 (Stack_dist.cold_misses engine);
+  check_int "overflows" 1 (Stack_dist.overflows engine);
+  check_int "distinct lines" 2 (Stack_dist.distinct_lines engine)
+
 let test_miss_curve_shape () =
   let engine, _ =
     replay_both ~sets:4 ~ways:4 ~max_ways:4 ~accesses:800 ~addr_space:2048 37
@@ -329,6 +341,8 @@ let suites =
         Alcotest.test_case "cold misses only" `Quick test_cold_misses_only;
         Alcotest.test_case "repeated line" `Quick test_repeated_line;
         Alcotest.test_case "overflow bucket" `Quick test_overflow_bucket;
+        Alcotest.test_case "cold/overflow hand trace" `Quick
+          test_cold_overflow_hand_trace;
         Alcotest.test_case "miss curve shape" `Quick test_miss_curve_shape;
         Alcotest.test_case "per-tag totals" `Quick test_per_tag_totals;
       ] );

@@ -127,6 +127,44 @@ let test_tlb_staleness () =
   check_bool "fresh after flush" true (Tint.equal tint blue);
   check_bool "refetch was a miss" true (o = Tlb.Miss)
 
+(* [lookup_page] is a wrapper over [lookup_page_quick]: two TLBs fed the
+   same pages through either entry agree on every tint, outcome, counter
+   and LRU order, and [last_evicted] reads right after a hit, a cold-fill
+   miss and an evicting miss. *)
+let test_tlb_quick_matches_lookup () =
+  let pt = Page_table.create ~page_size:256 () in
+  Page_table.set_tint pt ~page:3 (Tint.make "blue");
+  let slow = Tlb.create ~entries:2 ~page_table:pt in
+  let quick = Tlb.create ~entries:2 ~page_table:pt in
+  let step page ~evicted =
+    let tint, outcome = Tlb.lookup_page slow page in
+    let m0 = Tlb.misses quick in
+    let tint' = Tlb.lookup_page_quick quick page in
+    let label = Printf.sprintf "page %d" page in
+    check_bool (label ^ " tint") true (Tint.equal tint tint');
+    check_bool (label ^ " outcome") (outcome = Tlb.Miss)
+      (Tlb.misses quick <> m0);
+    check_int (label ^ " last_evicted (slow)") evicted (Tlb.last_evicted slow);
+    check_int (label ^ " last_evicted (quick)") evicted
+      (Tlb.last_evicted quick);
+    Alcotest.(check (list int))
+      (label ^ " lru order") (Tlb.resident_pages slow)
+      (Tlb.resident_pages quick)
+  in
+  step 1 ~evicted:min_int (* cold fill *);
+  step 3 ~evicted:min_int (* cold fill *);
+  step 1 ~evicted:min_int (* hit *);
+  step 5 ~evicted:3 (* evicting miss: 3 is LRU *);
+  step 3 ~evicted:1 (* evicting miss *);
+  check_int "hits" 1 (Tlb.hits quick);
+  check_int "misses" 4 (Tlb.misses quick);
+  check_bool "flush_page finds 5" true (Tlb.flush_page quick 5);
+  ignore (Tlb.flush_page slow 5);
+  (* the re-lookup misses and refills the freed slot, evicting nothing *)
+  step 5 ~evicted:min_int;
+  check_int "re-lookup after flush_page missed" 5 (Tlb.misses quick);
+  Alcotest.(check (list int)) "resident" [ 5; 3 ] (Tlb.resident_pages quick)
+
 let test_tlb_full_flush () =
   let m = make_mapping () in
   let tlb = Mapping.tlb m in
@@ -371,6 +409,8 @@ let suites =
         Alcotest.test_case "capacity eviction" `Quick test_tlb_capacity_eviction;
         Alcotest.test_case "staleness until flush" `Quick test_tlb_staleness;
         Alcotest.test_case "full flush" `Quick test_tlb_full_flush;
+        Alcotest.test_case "quick lookup = lookup" `Quick
+          test_tlb_quick_matches_lookup;
         Alcotest.test_case "flush mid-trace" `Quick test_tlb_flush_mid_trace;
       ] );
     ( "vm.frame_map",
