@@ -90,7 +90,7 @@ let bench_ablation_optimizer () =
 (* One differential-oracle scenario, fixed ahead of time so every sample
    replays identical work (generation excluded from the timed region). *)
 let check_scenario =
-  lazy (Check.Gen.scenario ~max_events:160 (Check.Prng.create ~seed:7))
+  lazy (Check.Gen.scenario ~max_events:160 (Workloads.Prng.create ~seed:7))
 
 let bench_check () =
   match Check.Diff.run_scenario (Lazy.force check_scenario) with

@@ -1370,6 +1370,24 @@ let gen_cmd =
              aggregate statistics plus per-request latency percentiles.")
   in
   let run dist n seed items theta apr out simulate =
+    (* The generators' own invalid_arg must never reach the user. *)
+    let knob_error =
+      if items < 1 then
+        Some (Printf.sprintf "--items must be positive, got %d" items)
+      else if n < 0 then
+        Some (Printf.sprintf "-n must be non-negative, got %d" n)
+      else if not (theta >= 0.) then
+        Some (Printf.sprintf "--theta must be non-negative, got %g" theta)
+      else if apr < 1 && dist <> `Kv then
+        Some
+          (Printf.sprintf "--accesses-per-request must be positive, got %d" apr)
+      else None
+    in
+    (match knob_error with
+    | Some msg ->
+        Format.eprintf "colcache gen: %s@." msg;
+        exit 1
+    | None -> ());
     let trace =
       match dist with
       | `Kv ->

@@ -26,11 +26,12 @@ let interleaved_trace =
 
 (* Hit rate of the hot buffer's own accesses under a given mapping. *)
 let hot_hit_rate_of mask_of =
-  let cc = Cache.Column_cache.create cache_config ~mask_of in
+  let cache = Cache.Sassoc.create cache_config in
   let hits = ref 0 and total = ref 0 in
   Memtrace.Trace.iter
     (fun a ->
-      let r = Cache.Column_cache.access cc a in
+      let mask = mask_of a.Memtrace.Access.addr in
+      let r = Cache.Sassoc.access_record cache ~mask a in
       if a.Memtrace.Access.var = Some "hot" then begin
         incr total;
         match r with

@@ -2,6 +2,7 @@ module Sassoc = Cache.Sassoc
 module Bitmask = Cache.Bitmask
 module Stats = Cache.Stats
 module Tint = Vm.Tint
+module Prng = Workloads.Prng
 
 type divergence = {
   step : int;

@@ -1,6 +1,7 @@
 module Sassoc = Cache.Sassoc
 module Bitmask = Cache.Bitmask
 module Access = Memtrace.Access
+module Prng = Workloads.Prng
 
 let tint_names = [ "blue"; "green"; "yellow"; "purple"; "orange" ]
 

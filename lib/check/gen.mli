@@ -1,20 +1,23 @@
 (** Seeded random generation of differential test cases.
 
-    All generation draws from a caller-supplied {!Prng.t}, so a seed fully
-    determines the batch: CI failures name a seed and an iteration index,
-    and both replay anywhere. Geometries are biased toward small, collision-
-    heavy caches (few sets, few ways) because those exercise replacement
-    hardest, but every call can also produce the extremes — one way, or
-    {!Cache.Bitmask.max_columns} ways. *)
+    All generation draws from a caller-supplied {!Workloads.Prng.t}, so a
+    seed fully determines the batch: CI failures name a seed and an
+    iteration index, and both replay anywhere. Geometries are biased toward
+    small, collision-heavy caches (few sets, few ways) because those
+    exercise replacement hardest, but every call can also produce the
+    extremes — one way, or {!Cache.Bitmask.max_columns} ways. *)
 
 val tint_names : string list
 (** The tint vocabulary scenarios draw from ("blue", "green", ...). *)
 
-val mask : Prng.t -> ways:int -> Cache.Bitmask.t
+val mask : Workloads.Prng.t -> ways:int -> Cache.Bitmask.t
 (** A uniformly random {e non-empty} mask over columns [0..ways-1]. *)
 
 val scenario :
-  ?ways:int -> ?policy:Cache.Policy.kind -> ?max_events:int -> Prng.t ->
+  ?ways:int ->
+  ?policy:Cache.Policy.kind ->
+  ?max_events:int ->
+  Workloads.Prng.t ->
   Scenario.t
 (** A random scenario: geometry, VM configuration and an event stream that
     is mostly accesses with re-tints, re-maps and flushes mixed in.
@@ -26,7 +29,7 @@ val traffic_scenario :
   ?policy:Cache.Policy.kind ->
   ?max_events:int ->
   ?perturb:bool ->
-  Prng.t ->
+  Workloads.Prng.t ->
   Scenario.t * int
 (** A scenario whose access stream comes from a seeded {!Workloads.Gen}
     distribution — Zipf, drifting hot sets, scans, phased mixtures — so the
@@ -38,6 +41,6 @@ val traffic_scenario :
     range); every stream shape carries a Zipf component so the mutation is
     always detectable. *)
 
-val trace : ?max_len:int -> Prng.t -> Memtrace.Trace.t
+val trace : ?max_len:int -> Workloads.Prng.t -> Memtrace.Trace.t
 (** A random plain access trace (kinds, vars, gaps, addresses), for
     round-trip tests of {!Memtrace.Trace_file}. May be empty. *)

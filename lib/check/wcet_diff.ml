@@ -5,6 +5,7 @@
 
 module CA = Ir.Cache_analysis
 module Build = Ir.Build
+module Prng = Workloads.Prng
 
 (* --- random analyzable programs ----------------------------------------- *)
 

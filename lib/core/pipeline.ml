@@ -201,55 +201,24 @@ let run_standard t ~proc =
   | Some stats -> stats
   | None -> Machine.System.run_packed (fresh_system t) packed
 
-let best_split ?(allow_uncached = true) ?mode ?sample_rate ?(jobs = 1) t
-    ~proc ~meth =
-  if jobs < 1 then
-    invalid_arg
-      (Printf.sprintf
-         "Pipeline.best_split: jobs must be a positive domain count, got %d"
-         jobs);
-  if jobs > t.cache.Cache.Sassoc.sets then
-    invalid_arg
-      (Printf.sprintf "Pipeline.best_split: more shards (jobs=%d) than sets (%d)"
-         jobs t.cache.Cache.Sassoc.sets);
+let best_split ?(allow_uncached = true) ?mode t ~proc ~meth =
   let k = columns t in
   let packed = packed_trace_of t ~proc in
   let copy_in = copy_in_of t ~proc in
   (* Each candidate point only needs its cycle count to rank; the
      stack-distance evaluator supplies it without a machine replay whenever
-     the partition decomposes into isolated LRU groups — sharded over [jobs]
-     worker domains when asked, which changes no digit of any count. With
-     [sample_rate] the ranking uses the SHARDS-sampled estimator instead —
-     cheaper still — while the winner below is always replayed exactly. *)
-  let exact_cycles part =
+     the partition decomposes into isolated LRU groups. *)
+  let point_cycles part =
     match
-      (if jobs = 1 then
-         Sweep.partitioned ~cache:t.cache ~timing:Machine.Timing.default
-           ~page_size:t.page_size ~tlb_entries:t.tlb_entries ~part ~copy_in
-           [ packed ]
-       else
-         Sweep.partitioned_parallel ~jobs ~cache:t.cache
-           ~timing:Machine.Timing.default ~page_size:t.page_size
-           ~tlb_entries:t.tlb_entries ~part ~copy_in [ packed ])
+      Sweep.partitioned ~cache:t.cache ~timing:Machine.Timing.default
+        ~page_size:t.page_size ~tlb_entries:t.tlb_entries ~part ~copy_in
+        [ packed ]
     with
-    | Some stats -> float_of_int stats.Machine.Run_stats.cycles
+    | Some stats -> stats.Machine.Run_stats.cycles
     | None ->
         let system = fresh_system t in
         Layout.Partition.apply ~copy_in part system;
-        float_of_int
-          (Machine.System.run_packed system packed).Machine.Run_stats.cycles
-  in
-  let point_cycles part =
-    match sample_rate with
-    | None -> exact_cycles part
-    | Some rate -> (
-        match
-          Sweep.partitioned_sampled ~rate ~cache:t.cache
-            ~timing:Machine.Timing.default ~page_size:t.page_size
-            ~tlb_entries:t.tlb_entries ~part ~copy_in [ packed ]
-        with
-        | Some est -> est
-        | None -> exact_cycles part)
+        (Machine.System.run_packed system packed).Machine.Run_stats.cycles
   in
   let candidates =
     List.filter_map

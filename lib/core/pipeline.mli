@@ -91,24 +91,16 @@ val run_standard : t -> proc:string -> Machine.Run_stats.t
 val best_split :
   ?allow_uncached:bool ->
   ?mode:Layout.Partition.mode ->
-  ?sample_rate:float ->
-  ?jobs:int ->
   t ->
   proc:string ->
   meth:weight_method ->
   int * Machine.Run_stats.t
 (** Try every scratchpad/cache split and return (scratchpad_columns, stats)
     of the cheapest. [allow_uncached] (default true) also considers splits
-    that leave some data uncached; the dynamic runner passes [false].
-    [sample_rate] ranks the candidate points with the SHARDS-sampled
-    estimator ({!Sweep.partitioned_sampled}) at that rate instead of the
-    exact closed form; the returned stats always come from an exact machine
-    replay of the winning split, so only the {e choice} of split — not the
-    reported numbers — can be perturbed by sampling noise. [jobs] (default
-    1) routes the exact ranking through {!Sweep.partitioned_parallel} with
-    that many worker domains — byte-identical ranking, so the chosen split
-    and the reported stats are independent of [jobs]. Raises
-    [Invalid_argument] when [jobs < 1] or [jobs] exceeds the set count. *)
+    that leave some data uncached; the dynamic runner passes [false]. Each
+    split is ranked by its cycle count from {!Sweep.partitioned}, or from a
+    machine replay where the closed form does not apply; the returned stats
+    come from a machine replay of the winning split. *)
 
 val dynamic_schedule :
   ?mode:Layout.Partition.mode ->

@@ -17,14 +17,15 @@
       the penalties of their misses, writebacks and TLB misses, and
       scratchpad/uncached accesses cost their flat latencies.
 
-    Both evaluators return [None] — caller falls back to exact
-    {!Machine.System.run_packed} replay — for anything the algebra cannot
-    express: non-LRU policies, miss classification, traffic whose column
-    mask overlaps another group's (it would not be an isolated LRU cache),
-    or pages shared between placements. The equality with exact replay is
-    pinned by the [core.sweep] tests field-for-field (the three-C and
-    per-way fill counters are reported as zeros; nothing in the sweeps
-    consumes them). *)
+    All three entry points decompose their configuration into column groups
+    and run the same single pass over the traces. Each returns [None] —
+    caller falls back to exact {!Machine.System.run_packed} replay — for
+    anything the algebra cannot express: non-LRU policies, miss
+    classification, traffic whose column mask overlaps another group's (it
+    would not be an isolated LRU cache), or pages shared between
+    placements. The equality with exact replay is pinned by the
+    [core.sweep] tests field-for-field (the three-C and per-way fill
+    counters are reported as zeros; nothing in the sweeps consumes them). *)
 
 val standard :
   ?translate:(int -> int) ->
@@ -47,10 +48,10 @@ val standard :
     what {!Machine.System.run_packed_requests} reports for the same spans —
     per-access miss and writeback outcomes come from
     {!Cache.Stack_dist.access_traced}, so the distribution is exact, not
-    estimated. Raises [Invalid_argument] on malformed spans. *)
+    estimated. Raises [Invalid_argument] on malformed spans
+    ({!Machine.Latency.check_spans}). *)
 
 val partitioned :
-  ?requests:(int * int) array ->
   cache:Cache.Sassoc.config ->
   timing:Machine.Timing.t ->
   page_size:int ->
@@ -70,114 +71,7 @@ val partitioned :
     when a group's columns overlap another's, when an access lands on a
     page no placement claims (default-tint traffic shares columns with
     every group), when an access hits a scratchpad-tinted page outside the
-    pinned byte range, or for non-LRU/classifying caches. [requests] as in
-    {!standard}; the setup (copy-in) charge counts toward total cycles but
-    toward no request, matching the machine's pending-setup accounting. *)
-
-val standard_sampled :
-  ?translate:(int -> int) ->
-  ?seed:int ->
-  ?min_sets:int ->
-  ?budget:int ->
-  rate:float ->
-  cache:Cache.Sassoc.config ->
-  timing:Machine.Timing.t ->
-  page_size:int ->
-  tlb_entries:int ->
-  Memtrace.Packed.t list ->
-  float option
-(** Sampled estimate of {!standard}'s cycle count: the same routing loop and
-    exact TLB replay, but the cache side is a SHARDS-style
-    {!Cache.Stack_dist.Sampled} engine at [rate], so only accesses landing
-    in its selected sets cost engine work. The result is the closed-form
-    cycle count with the exact miss and writeback totals replaced by their
-    scaled estimates. [seed]/[min_sets]/[budget] as in
-    {!Cache.Stack_dist.Sampled.create}. [None] under the same conditions as
-    {!standard}. At [rate = 1.0] the estimate equals the exact cycle count
-    (as a float). *)
-
-val partitioned_sampled :
-  ?seed:int ->
-  ?min_sets:int ->
-  ?budget:int ->
-  rate:float ->
-  cache:Cache.Sassoc.config ->
-  timing:Machine.Timing.t ->
-  page_size:int ->
-  tlb_entries:int ->
-  part:Layout.Partition.t ->
-  copy_in:string list ->
-  Memtrace.Packed.t list ->
-  float option
-(** Sampled estimate of {!partitioned}'s cycle count: the identical partition
-    decomposition (so [None] exactly when {!partitioned} is [None]), with
-    one {!Cache.Stack_dist.Sampled} engine per column group. Useful for
-    ranking many split points cheaply before replaying the winner exactly —
-    see {!Pipeline.best_split}. *)
-
-val standard_parallel :
-  ?translate:(int -> int) ->
-  ?on_shard:(shard:int -> accesses:int -> unit) ->
-  jobs:int ->
-  cache:Cache.Sassoc.config ->
-  timing:Machine.Timing.t ->
-  page_size:int ->
-  tlb_entries:int ->
-  Memtrace.Packed.t list ->
-  Machine.Run_stats.t option
-(** {!standard} evaluated with the Mattson pass sharded over [jobs] worker
-    domains. LRU stack distances are exactly independent per cache set, so
-    each worker owns the sets with [set mod jobs = shard], runs a
-    full-geometry engine over only that shard of the trace, and the shards
-    merge by pure addition of disjoint per-set counters
-    ({!Cache.Stack_dist.merge_into}); the TLB side is replayed serially
-    (its state depends on the global access order, but costs no engine
-    work). The result is byte-identical to {!standard} for every [jobs].
-    Per-request latency is inherently serial-interleaved, so there is no
-    [?requests] — exactly like {!standard_sampled}. [on_shard] reports each
-    shard's engine-access count after its pass (merge order; for scaling
-    accounting). Raises [Invalid_argument] when [jobs < 1] or
-    [jobs > cache.sets]. *)
-
-val partitioned_parallel :
-  ?on_shard:(shard:int -> accesses:int -> unit) ->
-  jobs:int ->
-  cache:Cache.Sassoc.config ->
-  timing:Machine.Timing.t ->
-  page_size:int ->
-  tlb_entries:int ->
-  part:Layout.Partition.t ->
-  copy_in:string list ->
-  Memtrace.Packed.t list ->
-  Machine.Run_stats.t option
-(** {!partitioned} with the per-group Mattson passes sharded over [jobs]
-    worker domains, byte-identical to {!partitioned} for every [jobs] (in
-    particular, [None] exactly when it is [None]). The serial pass performs
-    the full feasibility validation (unclaimed pages, scratchpad byte
-    ranges) and the TLB replay; workers only feed group engines, filtered
-    by set shard. [on_shard] and the [jobs] validation as in
-    {!standard_parallel}. *)
-
-val standard_sampled_parallel :
-  ?translate:(int -> int) ->
-  ?seed:int ->
-  ?min_sets:int ->
-  jobs:int ->
-  rate:float ->
-  cache:Cache.Sassoc.config ->
-  timing:Machine.Timing.t ->
-  page_size:int ->
-  tlb_entries:int ->
-  Memtrace.Packed.t list ->
-  float option
-(** {!standard_sampled} sharded over [jobs] worker domains, byte-identical
-    to the serial estimate for every [jobs]: SHARDS set selection is a
-    per-set property, so it composes with sharding — each worker's engine
-    selects the same sets from the same [seed] and touches only those it
-    owns, and {!Cache.Stack_dist.Sampled.merge_into} adds the disjoint
-    readings. There is no [?budget]: fixed-budget eviction is globally
-    order-dependent and cannot shard (the engine-level sharded feeds reject
-    it). [jobs] validation as in {!standard_parallel}. *)
+    pinned byte range, or for non-LRU/classifying caches. *)
 
 val masked :
   ?requests:(int * int) array ->
@@ -192,6 +86,7 @@ val masked :
     mask)] region confines its pages' traffic to the columns of [mask] —
     the closed form of retinting a region and mapping its tint to [mask] on
     a fresh system (see [Vm.Mapping.retint_region] / [remap_tint]). Regions
-    sharing a mask share one engine; [None] when masks overlap, a page is
-    claimed by two groups, or an access lands on an unclaimed page.
-    [requests] as in {!standard}. *)
+    sharing a mask share one engine, exactly as {!partitioned}'s cached
+    placements do; [None] when masks overlap, a page is claimed by two
+    groups, or an access lands on an unclaimed page. [requests] as in
+    {!standard}. *)

@@ -121,6 +121,15 @@ let pp ppf t =
       "%d requests, p50 %d / p99 %d / p99.9 %d cycles (mean %.1f)" t.total
       (p50 t) (p99 t) (p999 t) (mean t)
 
+let check_spans caller ~length spans =
+  Array.iteri
+    (fun i (start, stop) ->
+      if start < 0 || start >= stop || stop > length then
+        invalid_arg (caller ^ ": request span out of bounds");
+      if i > 0 && start < snd spans.(i - 1) then
+        invalid_arg (caller ^ ": request spans must be sorted and disjoint"))
+    spans
+
 module Builder = struct
   type dist = t
 

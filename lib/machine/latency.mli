@@ -39,6 +39,12 @@ val mean : t -> float
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
+val check_spans : string -> length:int -> (int * int) array -> unit
+(** [check_spans caller ~length spans] validates request spans: each
+    [(start, stop)] access-index span is non-empty and within
+    [\[0, length)], and the spans are sorted and disjoint. Raises
+    [Invalid_argument] with a message prefixed by [caller] otherwise. *)
+
 (** Accumulates samples in amortized O(1); sorting and run-length encoding
     happen once in {!Builder.build}. *)
 module Builder : sig

@@ -535,15 +535,7 @@ let run_packed t packed = run_with t (fun () -> replay_packed t packed)
    batched loop, so aggregate stats match [run_packed] exactly. *)
 let run_packed_requests t (p : Memtrace.Packed.t) ~requests =
   let n = Memtrace.Packed.length p in
-  Array.iteri
-    (fun i (start, stop) ->
-      if start < 0 || start >= stop || stop > n then
-        invalid_arg "System.run_packed_requests: request span out of bounds";
-      if i > 0 && start < snd requests.(i - 1) then
-        invalid_arg
-          "System.run_packed_requests: request spans must be sorted and \
-           disjoint")
-    requests;
+  Latency.check_spans "System.run_packed_requests" ~length:n requests;
   let addrs = Memtrace.Packed.raw_addrs p in
   let gaps = Memtrace.Packed.raw_gaps p in
   let kinds = Memtrace.Packed.raw_kinds p in
@@ -717,17 +709,8 @@ let run_packed_events ?inject_merge_bug t ~events p =
       settle_events t engine)
 
 let run_packed_requests_events t ~events (p : Memtrace.Packed.t) ~requests =
-  let n = Memtrace.Packed.length p in
-  Array.iteri
-    (fun i (start, stop) ->
-      if start < 0 || start >= stop || stop > n then
-        invalid_arg
-          "System.run_packed_requests_events: request span out of bounds";
-      if i > 0 && start < snd requests.(i - 1) then
-        invalid_arg
-          "System.run_packed_requests_events: request spans must be sorted \
-           and disjoint")
-    requests;
+  Latency.check_spans "System.run_packed_requests_events"
+    ~length:(Memtrace.Packed.length p) requests;
   let engine = Event.create t.cfg.timing events in
   let lat =
     Latency.Builder.create

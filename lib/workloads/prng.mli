@@ -4,8 +4,7 @@
     A splitmix64 generator: tiny, fast, and — unlike [Stdlib.Random] — with a
     bit-for-bit stable output sequence across OCaml versions, so a failing
     seed reported by CI reproduces exactly on any machine. {!Gen}'s traffic
-    streams and every generator in [Check.Gen] (which re-exports this module
-    as [Check.Prng]) draw from one of these. *)
+    streams and every generator in [Check.Gen] draw from one of these. *)
 
 type t
 

@@ -8,7 +8,6 @@ module Policy = Cache.Policy
 module Lru_set = Cache.Lru_set
 module Sassoc = Cache.Sassoc
 module Stats = Cache.Stats
-module Column_cache = Cache.Column_cache
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -433,14 +432,17 @@ let test_column_cache_partition_isolation () =
   (* B issues four streaming accesses per A access, so in the shared cache B
      displaces A's lines faster than A revisits them. *)
   let run mask_of =
-    let cc = Column_cache.create cfg ~mask_of in
+    let c = Sassoc.create cfg in
+    let access addr =
+      Sassoc.access_record c ~mask:(mask_of addr) (Access.make addr)
+    in
     let hits_a = ref 0 and total_a = ref 0 in
     for i = 0 to 4000 do
-      let ra = Column_cache.access cc (Access.make (a_trace i)) in
+      let ra = access (a_trace i) in
       incr total_a;
       (match ra with Sassoc.Hit _ -> incr hits_a | Sassoc.Miss _ -> ());
       for j = 0 to 3 do
-        ignore (Column_cache.access cc (Access.make (b_trace ((4 * i) + j))))
+        ignore (access (b_trace ((4 * i) + j)))
       done
     done;
     float_of_int !hits_a /. float_of_int !total_a
@@ -455,19 +457,18 @@ let test_column_cache_partition_isolation () =
     (partitioned > shared +. 0.2)
 
 let test_column_cache_remap () =
-  let cfg = tiny_config () in
-  let cc = Column_cache.create cfg ~mask_of:(fun _ -> Bitmask.singleton 0) in
-  ignore (Column_cache.access cc (Access.make 0));
-  Column_cache.set_mask_of cc (fun _ -> Bitmask.singleton 1);
-  (* data still found in the old column after remap *)
-  match Column_cache.access cc (Access.make 0) with
+  let c = Sassoc.create (tiny_config ()) in
+  ignore (Sassoc.access_record c ~mask:(Bitmask.singleton 0) (Access.make 0));
+  (* remapping to column 1: data still found in the old column *)
+  match Sassoc.access_record c ~mask:(Bitmask.singleton 1) (Access.make 0) with
   | Sassoc.Hit { way } -> check_int "old column" 0 way
   | Sassoc.Miss _ -> Alcotest.fail "remap must not lose cached data"
 
 let test_column_cache_run_stats () =
-  let cc = Column_cache.standard (tiny_config ()) in
+  let c = Sassoc.create (tiny_config ()) in
   let t = Trace.of_list [ Access.make 0; Access.make 0; Access.make 64 ] in
-  let s = Column_cache.run cc t in
+  Sassoc.access_trace c t;
+  let s = Sassoc.stats c in
   check_int "accesses" 3 s.Stats.accesses;
   check_int "hits" 1 s.Stats.hits
 

@@ -11,7 +11,7 @@ module Gen = Check.Gen
 module Diff = Check.Diff
 module Scenario = Check.Scenario
 module Invariant = Check.Invariant
-module Prng = Check.Prng
+module Prng = Workloads.Prng
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)

@@ -246,7 +246,7 @@ let test_trace_file_random_roundtrip () =
      write → read → structural equality, across random kinds, vars, gaps and
      lengths — including length 0 (Check.Gen.trace may produce it, and the
      last iteration forces it). *)
-  let rng = Check.Prng.create ~seed:271828 in
+  let rng = Workloads.Prng.create ~seed:271828 in
   let path = tmp_path "colcache_test_gen_roundtrip.trace" in
   let one trace =
     Memtrace.Trace_file.save ~path trace;

@@ -1,14 +1,11 @@
 (* Tests for the SHARDS-style sampled stack-distance engine and the sampled
    evaluation paths built on it: exactness at rate 1.0, determinism,
    threshold monotonicity, the fixed-budget adaptation, and agreement of the
-   sampled sweep/pipeline/allocator wiring with the exact paths. *)
+   float allocator with the exact one. *)
 
 module Access = Memtrace.Access
 module Stack_dist = Cache.Stack_dist
 module Sampled = Cache.Stack_dist.Sampled
-module Pipeline = Colcache.Pipeline
-module Sweep = Colcache.Sweep
-module Sassoc = Cache.Sassoc
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -183,125 +180,6 @@ let test_sampled_accuracy () =
     (Printf.sprintf "mean abs miss-ratio error %.4f within 0.08" mean)
     true (mean <= 0.08)
 
-(* --- sampled sweep evaluators --- *)
-
-let mpeg_pipeline =
-  lazy
-    (Pipeline.make ~init:Workloads.Mpeg.init
-       ~cache:(Sassoc.config ~line_size:16 ~size_bytes:2048 ~ways:4 ())
-       Workloads.Mpeg.program)
-
-let test_standard_sampled_rate_one () =
-  let t = Lazy.force mpeg_pipeline in
-  List.iter
-    (fun proc ->
-      let packed = Pipeline.packed_trace_of t ~proc in
-      let exact =
-        match
-          Sweep.standard ~cache:t.Pipeline.cache ~timing:Machine.Timing.default
-            ~page_size:t.Pipeline.page_size ~tlb_entries:t.Pipeline.tlb_entries
-            [ packed ]
-        with
-        | Some s -> s.Machine.Run_stats.cycles
-        | None -> Alcotest.fail "standard sweep infeasible"
-      in
-      match
-        Sweep.standard_sampled ~rate:1.0 ~cache:t.Pipeline.cache
-          ~timing:Machine.Timing.default ~page_size:t.Pipeline.page_size
-          ~tlb_entries:t.Pipeline.tlb_entries [ packed ]
-      with
-      | Some est ->
-          check_bool (proc ^ ": rate 1.0 equals exact cycles") true
-            (est = float_of_int exact)
-      | None -> Alcotest.fail (proc ^ ": sampled sweep infeasible"))
-    Workloads.Mpeg.routines
-
-let copy_in_of t ~proc =
-  let reads = Hashtbl.create 16 and writes = Hashtbl.create 16 in
-  Memtrace.Trace.iter
-    (fun a ->
-      match a.Access.var with
-      | None -> ()
-      | Some v -> (
-          match a.Access.kind with
-          | Access.Read | Access.Ifetch -> Hashtbl.replace reads v ()
-          | Access.Write -> Hashtbl.replace writes v ()))
-    (Pipeline.trace_of t ~proc);
-  Hashtbl.fold
-    (fun v () acc -> if Hashtbl.mem writes v then v :: acc else acc)
-    reads []
-
-let test_partitioned_sampled_none_agreement () =
-  let t = Lazy.force mpeg_pipeline in
-  List.iter
-    (fun proc ->
-      let copy_in = copy_in_of t ~proc in
-      let packed = Pipeline.packed_trace_of t ~proc in
-      for scratchpad_columns = 0 to 3 do
-        let part =
-          Pipeline.partition t ~proc ~scratchpad_columns
-            ~meth:Pipeline.Profile_based
-        in
-        let exact =
-          Sweep.partitioned ~cache:t.Pipeline.cache
-            ~timing:Machine.Timing.default ~page_size:t.Pipeline.page_size
-            ~tlb_entries:t.Pipeline.tlb_entries ~part ~copy_in [ packed ]
-        in
-        let sampled =
-          Sweep.partitioned_sampled ~rate:1.0 ~cache:t.Pipeline.cache
-            ~timing:Machine.Timing.default ~page_size:t.Pipeline.page_size
-            ~tlb_entries:t.Pipeline.tlb_entries ~part ~copy_in [ packed ]
-        in
-        let label =
-          Printf.sprintf "%s/scratch=%d" proc scratchpad_columns
-        in
-        match (exact, sampled) with
-        | None, None -> ()
-        | Some e, Some s ->
-            check_bool (label ^ ": rate 1.0 equals exact cycles") true
-              (s = float_of_int e.Machine.Run_stats.cycles)
-        | Some _, None -> Alcotest.fail (label ^ ": sampled None, exact Some")
-        | None, Some _ -> Alcotest.fail (label ^ ": sampled Some, exact None")
-      done)
-    Workloads.Mpeg.routines
-
-let test_best_split_sampled () =
-  let t = Lazy.force mpeg_pipeline in
-  List.iter
-    (fun proc ->
-      let exact_cols, exact_stats =
-        Pipeline.best_split t ~proc ~meth:Pipeline.Profile_based
-      in
-      (* rate 1.0: the sampled ranking sees exactly the exact cycle counts,
-         so the choice — and therefore the exact replay it reports — must
-         be identical *)
-      let s_cols, s_stats =
-        Pipeline.best_split ~sample_rate:1.0 t ~proc
-          ~meth:Pipeline.Profile_based
-      in
-      check_int (proc ^ ": same winning split") exact_cols s_cols;
-      check_int (proc ^ ": same reported cycles")
-        exact_stats.Machine.Run_stats.cycles s_stats.Machine.Run_stats.cycles;
-      (* a real sampling rate may pick a different split, but the reported
-         stats must still be an exact replay of whatever it picked *)
-      let r_cols, r_stats =
-        Pipeline.best_split ~sample_rate:0.5 t ~proc
-          ~meth:Pipeline.Profile_based
-      in
-      let part =
-        Pipeline.partition t ~proc ~scratchpad_columns:r_cols
-          ~meth:Pipeline.Profile_based
-      in
-      let replay =
-        let system = Pipeline.fresh_system t in
-        Layout.Partition.apply ~copy_in:(copy_in_of t ~proc) part system;
-        Machine.System.run_packed system (Pipeline.packed_trace_of t ~proc)
-      in
-      check_int
-        (proc ^ ": sampled choice reported exactly")
-        replay.Machine.Run_stats.cycles r_stats.Machine.Run_stats.cycles)
-    Workloads.Mpeg.routines
-
 (* --- float allocator generalization --- *)
 
 let test_allocate_float_matches_int () =
@@ -347,15 +225,6 @@ let suites =
         Alcotest.test_case "budget eviction adapts threshold" `Quick
           test_budget_eviction;
         Alcotest.test_case "estimate accuracy" `Quick test_sampled_accuracy;
-      ] );
-    ( "core.sweep.sampled",
-      [
-        Alcotest.test_case "standard_sampled rate 1.0 = exact" `Quick
-          test_standard_sampled_rate_one;
-        Alcotest.test_case "partitioned_sampled None iff exact None" `Quick
-          test_partitioned_sampled_none_agreement;
-        Alcotest.test_case "best_split sampled ranking" `Quick
-          test_best_split_sampled;
       ] );
     ( "layout.mrc_alloc.float",
       [

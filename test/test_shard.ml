@@ -10,10 +10,7 @@ module Packed = Memtrace.Packed
 module Stack_dist = Cache.Stack_dist
 module Sampled = Cache.Stack_dist.Sampled
 module Windowed = Cache.Stack_dist.Windowed
-module Sweep = Colcache.Sweep
-module Pipeline = Colcache.Pipeline
 module Experiments = Colcache.Experiments
-module Run_stats = Machine.Run_stats
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -293,154 +290,6 @@ let test_windowed_rejections () =
   check_bool "window not a multiple of epochs" true
     (raises (mk ~window:10 ~epochs:4))
 
-let mpeg_pipeline =
-  lazy
-    (Pipeline.make ~init:Workloads.Mpeg.init
-       ~cache:(Cache.Sassoc.config ~line_size:16 ~size_bytes:2048 ~ways:4 ())
-       Workloads.Mpeg.program)
-
-let test_sweep_rejections () =
-  let t = Lazy.force mpeg_pipeline in
-  let packed = Pipeline.packed_trace_of t ~proc:"plus" in
-  let go jobs =
-    Sweep.standard_parallel ~jobs ~cache:t.Pipeline.cache
-      ~timing:Machine.Timing.default ~page_size:t.Pipeline.page_size
-      ~tlb_entries:t.Pipeline.tlb_entries [ packed ]
-  in
-  check_bool "sweep: jobs = 0" true (raises (fun () -> go 0));
-  check_bool "sweep: jobs > sets" true (raises (fun () -> go 1024));
-  check_bool "best_split: jobs = 0" true
-    (raises (fun () ->
-         Pipeline.best_split ~jobs:0 t ~proc:"plus"
-           ~meth:Pipeline.Profile_based));
-  check_bool "best_split: jobs > sets" true
-    (raises (fun () ->
-         Pipeline.best_split ~jobs:1024 t ~proc:"plus"
-           ~meth:Pipeline.Profile_based))
-
-(* --- sweep evaluators: parallel equals serial, field for field --- *)
-
-let run_stats_equal label (a : Run_stats.t) (b : Run_stats.t) =
-  check_int (label ^ ": instructions") a.instructions b.instructions;
-  check_int (label ^ ": cycles") a.cycles b.cycles;
-  check_int (label ^ ": memory accesses") a.memory_accesses b.memory_accesses;
-  check_int
-    (label ^ ": scratchpad accesses")
-    a.scratchpad_accesses b.scratchpad_accesses;
-  check_int (label ^ ": tlb hits") a.tlb_hits b.tlb_hits;
-  check_int (label ^ ": tlb misses") a.tlb_misses b.tlb_misses;
-  check_bool (label ^ ": cache stats") true (a.cache = b.cache);
-  check_bool (label ^ ": request latencies") true
-    (Machine.Latency.equal a.requests b.requests)
-
-let test_sweep_standard_parallel () =
-  let t = Lazy.force mpeg_pipeline in
-  List.iter
-    (fun proc ->
-      let packed = Pipeline.packed_trace_of t ~proc in
-      let serial =
-        match
-          Sweep.standard ~cache:t.Pipeline.cache
-            ~timing:Machine.Timing.default ~page_size:t.Pipeline.page_size
-            ~tlb_entries:t.Pipeline.tlb_entries [ packed ]
-        with
-        | Some s -> s
-        | None -> Alcotest.fail "standard sweep infeasible"
-      in
-      List.iter
-        (fun jobs ->
-          match
-            Sweep.standard_parallel ~jobs ~cache:t.Pipeline.cache
-              ~timing:Machine.Timing.default ~page_size:t.Pipeline.page_size
-              ~tlb_entries:t.Pipeline.tlb_entries [ packed ]
-          with
-          | Some p ->
-              run_stats_equal
-                (Printf.sprintf "%s jobs=%d" proc jobs)
-                serial p
-          | None -> Alcotest.fail (proc ^ ": parallel sweep infeasible"))
-        [ 1; 2; 4 ])
-    Workloads.Mpeg.routines
-
-let copy_in_of t ~proc =
-  let reads = Hashtbl.create 16 and writes = Hashtbl.create 16 in
-  Memtrace.Trace.iter
-    (fun a ->
-      match a.Access.var with
-      | None -> ()
-      | Some v -> (
-          match a.Access.kind with
-          | Access.Read | Access.Ifetch -> Hashtbl.replace reads v ()
-          | Access.Write -> Hashtbl.replace writes v ()))
-    (Pipeline.trace_of t ~proc);
-  Hashtbl.fold
-    (fun v () acc -> if Hashtbl.mem writes v then v :: acc else acc)
-    reads []
-
-let test_sweep_partitioned_parallel () =
-  let t = Lazy.force mpeg_pipeline in
-  List.iter
-    (fun proc ->
-      let copy_in = copy_in_of t ~proc in
-      let packed = Pipeline.packed_trace_of t ~proc in
-      for scratchpad_columns = 0 to 3 do
-        let part =
-          Pipeline.partition t ~proc ~scratchpad_columns
-            ~meth:Pipeline.Profile_based
-        in
-        let serial =
-          Sweep.partitioned ~cache:t.Pipeline.cache
-            ~timing:Machine.Timing.default ~page_size:t.Pipeline.page_size
-            ~tlb_entries:t.Pipeline.tlb_entries ~part ~copy_in [ packed ]
-        in
-        let parallel =
-          Sweep.partitioned_parallel ~jobs:2 ~cache:t.Pipeline.cache
-            ~timing:Machine.Timing.default ~page_size:t.Pipeline.page_size
-            ~tlb_entries:t.Pipeline.tlb_entries ~part ~copy_in [ packed ]
-        in
-        let label = Printf.sprintf "%s/scratch=%d" proc scratchpad_columns in
-        match (serial, parallel) with
-        | None, None -> ()
-        | Some s, Some p -> run_stats_equal label s p
-        | Some _, None -> Alcotest.fail (label ^ ": parallel None, serial Some")
-        | None, Some _ -> Alcotest.fail (label ^ ": parallel Some, serial None")
-      done)
-    Workloads.Mpeg.routines
-
-let test_sweep_sampled_parallel () =
-  let t = Lazy.force mpeg_pipeline in
-  List.iter
-    (fun proc ->
-      let packed = Pipeline.packed_trace_of t ~proc in
-      let serial =
-        Sweep.standard_sampled ~rate:0.5 ~cache:t.Pipeline.cache
-          ~timing:Machine.Timing.default ~page_size:t.Pipeline.page_size
-          ~tlb_entries:t.Pipeline.tlb_entries [ packed ]
-      in
-      let parallel =
-        Sweep.standard_sampled_parallel ~jobs:2 ~rate:0.5
-          ~cache:t.Pipeline.cache ~timing:Machine.Timing.default
-          ~page_size:t.Pipeline.page_size ~tlb_entries:t.Pipeline.tlb_entries
-          [ packed ]
-      in
-      match (serial, parallel) with
-      | None, None -> ()
-      | Some s, Some p ->
-          check_bool (proc ^ ": sampled parallel equals serial") true (s = p)
-      | _ -> Alcotest.fail (proc ^ ": feasibility disagrees"))
-    Workloads.Mpeg.routines
-
-let test_best_split_jobs_invariant () =
-  let t = Lazy.force mpeg_pipeline in
-  let p1, s1 =
-    Pipeline.best_split t ~proc:"plus" ~meth:Pipeline.Profile_based
-  in
-  let p2, s2 =
-    Pipeline.best_split ~jobs:2 t ~proc:"plus" ~meth:Pipeline.Profile_based
-  in
-  check_int "same split point" p1 p2;
-  check_int "same cycles" s1.Run_stats.cycles s2.Run_stats.cycles
-
 (* --- the incremental allocator wrapper --- *)
 
 let test_incremental_basics () =
@@ -529,19 +378,6 @@ let suites =
         Alcotest.test_case "stack_dist knobs" `Quick test_stack_dist_rejections;
         Alcotest.test_case "sampled knobs" `Quick test_sampled_rejections;
         Alcotest.test_case "windowed knobs" `Quick test_windowed_rejections;
-        Alcotest.test_case "sweep + best_split knobs" `Quick
-          test_sweep_rejections;
-      ] );
-    ( "shard.sweep",
-      [
-        Alcotest.test_case "standard_parallel = standard" `Quick
-          test_sweep_standard_parallel;
-        Alcotest.test_case "partitioned_parallel = partitioned" `Quick
-          test_sweep_partitioned_parallel;
-        Alcotest.test_case "sampled parallel sweep = serial" `Quick
-          test_sweep_sampled_parallel;
-        Alcotest.test_case "best_split jobs-invariant" `Quick
-          test_best_split_jobs_invariant;
       ] );
     ( "shard.incremental",
       [

@@ -237,13 +237,17 @@ let copy_in_of t ~proc =
     (fun v () acc -> if Hashtbl.mem writes v then v :: acc else acc)
     reads []
 
+(* Every split [Pipeline.best_split] tries (0..columns scratchpad columns)
+   is priced exactly or falls back to the machine; at least one split per
+   routine must be priced, so the comparison cannot pass vacuously. *)
 let test_sweep_partitioned_exact () =
   let t = Lazy.force mpeg_pipeline in
   List.iter
     (fun proc ->
       let copy_in = copy_in_of t ~proc in
       let packed = Pipeline.packed_trace_of t ~proc in
-      for scratchpad_columns = 0 to 2 do
+      let priced = ref 0 in
+      for scratchpad_columns = 0 to Pipeline.columns t do
         let part =
           Pipeline.partition t ~proc ~scratchpad_columns
             ~meth:Pipeline.Profile_based
@@ -259,6 +263,7 @@ let test_sweep_partitioned_exact () =
             ~tlb_entries:t.Pipeline.tlb_entries ~part ~copy_in [ packed ]
         with
         | Some sweep ->
+            incr priced;
             check_run_stats
               (Printf.sprintf "%s/scratch=%d" proc scratchpad_columns)
               exact sweep
@@ -267,7 +272,8 @@ let test_sweep_partitioned_exact () =
                regions sharing a page with cached data) fall back to the
                machine in the pipeline; nothing to compare. *)
             ()
-      done)
+      done;
+      if !priced = 0 then Alcotest.failf "%s: no split was priced" proc)
     Workloads.Mpeg.routines
 
 let test_sweep_rejects_non_lru () =

@@ -250,19 +250,43 @@ let test_machine_requests_aggregate_unchanged () =
   check_int "windows partition total cycles" plain.Run_stats.cycles
     (Latency.sum with_req.Run_stats.requests)
 
+(* The machine's blocking and event replays and the closed-form sweep share
+   one span validator; each must reject every malformed case. *)
 let test_machine_requests_rejects_malformed () =
   let t = Gen.emit ~seed:3 ~n:16 (Gen.Uniform { items = 8 }) in
-  let raises requests =
-    try
-      ignore
-        (System.run_packed_requests (fresh_system ()) t.Gen.packed ~requests);
-      false
-    with Invalid_argument _ -> true
+  let entry_points =
+    [
+      ( "run_packed_requests",
+        fun requests ->
+          ignore
+            (System.run_packed_requests (fresh_system ()) t.Gen.packed
+               ~requests) );
+      ( "run_packed_requests_events",
+        fun requests ->
+          ignore
+            (System.run_packed_requests_events (fresh_system ())
+               ~events:Machine.Event.default_config t.Gen.packed ~requests) );
+      ( "Sweep.standard",
+        fun requests ->
+          ignore
+            (Sweep.standard ~requests ~cache:(cache_cfg ())
+               ~timing:Machine.Timing.default ~page_size ~tlb_entries
+               [ t.Gen.packed ]) );
+    ]
   in
-  check_bool "empty span" true (raises [| (4, 4) |]);
-  check_bool "out of bounds" true (raises [| (10, 20) |]);
-  check_bool "overlap" true (raises [| (0, 4); (2, 6) |]);
-  check_bool "unsorted" true (raises [| (8, 10); (0, 2) |])
+  List.iter
+    (fun (name, run) ->
+      let raises requests =
+        try
+          run requests;
+          false
+        with Invalid_argument _ -> true
+      in
+      check_bool (name ^ ": empty span") true (raises [| (4, 4) |]);
+      check_bool (name ^ ": out of bounds") true (raises [| (10, 20) |]);
+      check_bool (name ^ ": overlap") true (raises [| (0, 4); (2, 6) |]);
+      check_bool (name ^ ": unsorted") true (raises [| (8, 10); (0, 2) |]))
+    entry_points
 
 (* --- sweep vs machine: byte-identical latency distributions --- *)
 
