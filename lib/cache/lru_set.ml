@@ -22,7 +22,9 @@ let create ~capacity =
     keys = Array.make capacity 0;
     prev = Array.make capacity (-1);
     next = Array.make capacity (-1);
-    index = Int_table.Map.create capacity;
+    (* sized for a load of at most 1/4: the TLB evicts and inserts on every
+       miss, and backward-shift deletion walks whole probe clusters *)
+    index = Int_table.Map.create (2 * capacity);
     head = -1;
     tail = -1;
     free = List.init capacity (fun i -> i);

@@ -20,17 +20,21 @@ type t = {
   len : int array;  (* stack length per set *)
   (* counters *)
   hist : int array;  (* exact depth d re-accesses, 0 <= d < w *)
-  cross : int array;  (* cross.(a) = boundary-a crossings = evictions at a; 1..w *)
+  (* shifts.(s) = accesses that pushed the top s entries of their stack down
+     one slot, 0..w. Such an access crosses every boundary a <= s once, so
+     evictions at a are the sum of shifts.(s) for s >= a. *)
+  shifts : int array;
   wbs : int array;  (* wbs.(a) = writebacks at associativity a; 1..w *)
-  mutable cold : int;
-  mutable overflow : int;
+  mutable stack_misses : int;  (* counted accesses absent from their stack *)
+  mutable cold : int;  (* the first touches among them *)
   mutable n_accesses : int;
-  (* Lines ever referenced (cold detection). Every line in a stack is in
-     it, so only stack misses probe it. *)
-  seen : Int_table.Set.t;
+  (* Lines ever referenced (cold detection), [None] when the engine was
+     created without it. Every line in a stack is in it, so only stack
+     misses probe it. *)
+  seen : Int_table.Set.t option;
 }
 
-let create ?translate ~line_size ~sets ~max_ways () =
+let create ?translate ?(cold_lines = true) ~line_size ~sets ~max_ways () =
   if not (is_power_of_two line_size) then
     invalid_arg "Stack_dist.create: line_size must be a power of two";
   if not (is_power_of_two sets) then
@@ -46,12 +50,12 @@ let create ?translate ~line_size ~sets ~max_ways () =
     dirty_min = Array.make (sets * max_ways) (max_ways + 1);
     len = Array.make sets 0;
     hist = Array.make max_ways 0;
-    cross = Array.make (max_ways + 1) 0;
+    shifts = Array.make (max_ways + 1) 0;
     wbs = Array.make (max_ways + 1) 0;
+    stack_misses = 0;
     cold = 0;
-    overflow = 0;
     n_accesses = 0;
-    seen = Int_table.Set.create 512;
+    seen = (if cold_lines then Some (Int_table.Set.create 512) else None);
   }
 
 let max_ways t = t.w
@@ -78,53 +82,75 @@ let touch_raw t ~write ~counted ~traced addr =
   let w = t.w in
   let base = set * w in
   let lines = t.lines in
+  let dirty = t.dirty_min in
+  let wbs = t.wbs in
   let l = Array.unsafe_get t.len set in
-  (* depth of the accessed line, -1 when absent *)
+  (* One forward pass finds the accessed line and shifts everything above it.
+     Each slot passed receives the entry carried from the slot above, and its
+     own entry is picked up: moving from depth j to j+1 is one crossing of
+     boundary a = j+1, i.e. one eviction of the a-way cache, and if the line
+     is dirty there, that is its writeback, after which it is clean there.
+     Slot 0 first receives a placeholder; the accessed line lands there at
+     the end. *)
   let d = ref (-1) in
-  let i = ref 0 in
-  while !d < 0 && !i < l do
-    if Array.unsafe_get lines (base + !i) = line then d := !i;
-    incr i
-  done;
-  let res = ref (if traced > 0 && !d >= 0 && !d < traced then 1 else 0) in
-  let first = !d < 0 && Int_table.Set.add t.seen line in
-  if counted then begin
-    t.n_accesses <- t.n_accesses + 1;
-    if !d >= 0 then t.hist.(!d) <- t.hist.(!d) + 1
-    else if first then t.cold <- t.cold + 1
-    else t.overflow <- t.overflow + 1
-  end;
-  (* the accessed line's own dirtiness before the shift overwrites its slot *)
-  let old_dirty = if !d >= 0 then Array.unsafe_get t.dirty_min (base + !d) else w + 1 in
-  (* Shift positions 0..shift-1 down one. The line leaving position a-1 for
-     position a is evicted from the a-way cache (one boundary crossing); if
-     dirty there, that is its writeback, after which it is clean there. The
-     line leaving position w-1 falls off the stack entirely. *)
-  let shift = if !d >= 0 then !d else l in
-  for j = shift - 1 downto 0 do
-    let a = j + 1 in
-    t.cross.(a) <- t.cross.(a) + 1;
-    let dm = Array.unsafe_get t.dirty_min (base + j) in
-    let dm =
-      if dm <= a then begin
-        t.wbs.(a) <- t.wbs.(a) + 1;
-        if a = traced then res := !res lor 2;
-        a + 1
-      end
-      else dm
-    in
-    if a < w then begin
-      Array.unsafe_set lines (base + a) (Array.unsafe_get lines (base + j));
-      Array.unsafe_set t.dirty_min (base + a) dm
+  let old_dirty = ref (w + 1) in
+  let res = ref 0 in
+  let j = ref 0 in
+  let carry_line = ref line in
+  let carry_dm = ref (w + 1) in
+  while !d < 0 && !j < l do
+    let i = base + !j in
+    let cur = Array.unsafe_get lines i in
+    let dm = Array.unsafe_get dirty i in
+    Array.unsafe_set lines i !carry_line;
+    Array.unsafe_set dirty i !carry_dm;
+    if cur = line then begin
+      d := !j;
+      old_dirty := dm
+    end
+    else begin
+      let a = !j + 1 in
+      carry_line := cur;
+      carry_dm :=
+        if dm <= a then begin
+          Array.unsafe_set wbs a (Array.unsafe_get wbs a + 1);
+          if a = traced then res := 2;
+          a + 1
+        end
+        else dm;
+      j := a
     end
   done;
+  let d = !d in
+  (* On a miss the entry carried out of depth l-1 settles in the free slot,
+     or falls off a full stack (having crossed boundary w above). *)
+  if d < 0 && l < w then begin
+    Array.unsafe_set lines (base + l) !carry_line;
+    Array.unsafe_set dirty (base + l) !carry_dm;
+    Array.unsafe_set t.len set (l + 1)
+  end;
+  let shift = if d >= 0 then d else l in
+  Array.unsafe_set t.shifts shift (Array.unsafe_get t.shifts shift + 1);
   Array.unsafe_set lines base line;
-  Array.unsafe_set t.dirty_min base
+  Array.unsafe_set dirty base
     (if write then 1
-     else if !d >= 0 then min (w + 1) (max old_dirty (!d + 1))
+     else if d >= 0 then min (w + 1) (max !old_dirty (d + 1))
      else w + 1);
-  if !d < 0 && l < w then Array.unsafe_set t.len set (l + 1);
-  !res
+  if counted then t.n_accesses <- t.n_accesses + 1;
+  if d >= 0 then begin
+    if counted then Array.unsafe_set t.hist d (Array.unsafe_get t.hist d + 1);
+    if d < traced then !res lor 1 else !res
+  end
+  else begin
+    let first =
+      match t.seen with Some s -> Int_table.Set.add s line | None -> false
+    in
+    if counted then begin
+      t.stack_misses <- t.stack_misses + 1;
+      if first then t.cold <- t.cold + 1
+    end;
+    !res
+  end
 
 let touch_traced t ~write ~counted ~traced addr =
   let addr = match t.translate with None -> addr | Some f -> f addr in
@@ -151,16 +177,31 @@ let access_packed t p =
 
 let reset_counts t =
   Array.fill t.hist 0 t.w 0;
-  Array.fill t.cross 0 (t.w + 1) 0;
+  Array.fill t.shifts 0 (t.w + 1) 0;
   Array.fill t.wbs 0 (t.w + 1) 0;
+  t.stack_misses <- 0;
   t.cold <- 0;
-  t.overflow <- 0;
   t.n_accesses <- 0
 
 let accesses t = t.n_accesses
-let cold_misses t = t.cold
-let overflows t = t.overflow
-let distinct_lines t = Int_table.Set.length t.seen
+
+let seen_lines t name =
+  match t.seen with
+  | Some s -> s
+  | None ->
+      invalid_arg
+        (Printf.sprintf "Stack_dist.%s: engine created with ~cold_lines:false"
+           name)
+
+let cold_misses t =
+  ignore (seen_lines t "cold_misses");
+  t.cold
+
+let overflows t =
+  ignore (seen_lines t "overflows");
+  t.stack_misses - t.cold
+
+let distinct_lines t = Int_table.Set.length (seen_lines t "distinct_lines")
 let histogram t = Array.copy t.hist
 
 let check_ways t a name =
@@ -175,7 +216,7 @@ let access_traced t ~kind ~ways addr =
 
 let misses t ~ways =
   check_ways t ways "misses";
-  let deep = ref (t.cold + t.overflow) in
+  let deep = ref t.stack_misses in
   for d = ways to t.w - 1 do
     deep := !deep + t.hist.(d)
   done;
@@ -185,7 +226,11 @@ let hits t ~ways = t.n_accesses - misses t ~ways
 
 let evictions t ~ways =
   check_ways t ways "evictions";
-  t.cross.(ways)
+  let n = ref 0 in
+  for s = ways to t.w do
+    n := !n + t.shifts.(s)
+  done;
+  !n
 
 let writebacks t ~ways =
   check_ways t ways "writebacks";
@@ -193,7 +238,7 @@ let writebacks t ~ways =
 
 let miss_curve t =
   let c = Array.make (t.w + 1) 0 in
-  c.(t.w) <- t.cold + t.overflow;
+  c.(t.w) <- t.stack_misses;
   for a = t.w - 1 downto 1 do
     c.(a) <- c.(a + 1) + t.hist.(a)
   done;
@@ -287,6 +332,8 @@ let merge_into dst src =
     || dst.n_sets <> src.n_sets
     || dst.w <> src.w
   then invalid_arg "Stack_dist.merge_into: engine geometries differ";
+  if Option.is_some dst.seen <> Option.is_some src.seen then
+    invalid_arg "Stack_dist.merge_into: only one engine keeps cold lines";
   let w = dst.w in
   for set = 0 to dst.n_sets - 1 do
     if src.len.(set) > 0 then begin
@@ -306,15 +353,16 @@ let merge_into dst src =
     dst.hist.(d) <- dst.hist.(d) + src.hist.(d)
   done;
   for a = 0 to w do
-    dst.cross.(a) <- dst.cross.(a) + src.cross.(a);
+    dst.shifts.(a) <- dst.shifts.(a) + src.shifts.(a);
     dst.wbs.(a) <- dst.wbs.(a) + src.wbs.(a)
   done;
+  dst.stack_misses <- dst.stack_misses + src.stack_misses;
   dst.cold <- dst.cold + src.cold;
-  dst.overflow <- dst.overflow + src.overflow;
   dst.n_accesses <- dst.n_accesses + src.n_accesses;
-  Int_table.Set.iter
-    (fun line -> ignore (Int_table.Set.add dst.seen line))
-    src.seen
+  match (dst.seen, src.seen) with
+  | Some d, Some s ->
+      Int_table.Set.iter (fun line -> ignore (Int_table.Set.add d line)) s
+  | _ -> ()
 
 (* Chunked [Packed.sub] views keep every worker streaming the (possibly
    mmap'd) columns a bounded window at a time, the same access pattern the
@@ -762,8 +810,7 @@ module Windowed = struct
     epoch_len : int;
     n_epochs : int;
     ring_hist : int array array; (* n_epochs rows of max_ways counters *)
-    ring_cold : int array;
-    ring_overflow : int array;
+    ring_misses : int array; (* stack misses: cold plus overflow *)
     ring_accesses : int array;
     mutable live : int; (* filled ring slots *)
     mutable head : int; (* next slot to write = oldest when full *)
@@ -794,8 +841,7 @@ module Windowed = struct
       epoch_len = window / epochs;
       n_epochs = epochs;
       ring_hist = Array.init epochs (fun _ -> Array.make max_ways 0);
-      ring_cold = Array.make epochs 0;
-      ring_overflow = Array.make epochs 0;
+      ring_misses = Array.make epochs 0;
       ring_accesses = Array.make epochs 0;
       live = 0;
       head = 0;
@@ -818,8 +864,7 @@ module Windowed = struct
     if t.live = t.n_epochs then t.retired <- t.retired + 1
     else t.live <- t.live + 1;
     Array.blit t.engine.hist 0 t.ring_hist.(slot) 0 t.engine.w;
-    t.ring_cold.(slot) <- t.engine.cold;
-    t.ring_overflow.(slot) <- t.engine.overflow;
+    t.ring_misses.(slot) <- t.engine.stack_misses;
     t.ring_accesses.(slot) <- t.engine.n_accesses;
     reset_counts t.engine;
     t.head <- (slot + 1) mod t.n_epochs;
@@ -849,29 +894,27 @@ module Windowed = struct
     let w = t.engine.w in
     let hist = Array.make w 0 in
     Array.blit t.engine.hist 0 hist 0 w;
-    let cold = ref t.engine.cold in
-    let overflow = ref t.engine.overflow in
+    let misses = ref t.engine.stack_misses in
     let acc = ref t.engine.n_accesses in
     for s = 0 to t.live - 1 do
       let row = t.ring_hist.(s) in
       for d = 0 to w - 1 do
         hist.(d) <- hist.(d) + row.(d)
       done;
-      cold := !cold + t.ring_cold.(s);
-      overflow := !overflow + t.ring_overflow.(s);
+      misses := !misses + t.ring_misses.(s);
       acc := !acc + t.ring_accesses.(s)
     done;
-    (hist, !cold, !overflow, !acc)
+    (hist, !misses, !acc)
 
   let accesses_in_window t =
-    let _, _, _, acc = fold_window t in
+    let _, _, acc = fold_window t in
     acc
 
   let miss_curve_now t =
-    let hist, cold, overflow, acc = fold_window t in
+    let hist, misses, acc = fold_window t in
     let w = t.engine.w in
     let c = Array.make (w + 1) 0 in
-    c.(w) <- cold + overflow;
+    c.(w) <- misses;
     for a = w - 1 downto 1 do
       c.(a) <- c.(a + 1) + hist.(a)
     done;

@@ -9,8 +9,10 @@
       the [a]-way cache iff [d < a], so [misses a] is the tail mass of the
       depth histogram plus the cold and overflow accesses;
     - exact eviction counts: a line leaves the [a]-way cache exactly when it
-      sinks from depth [a-1] to depth [a], so evictions are boundary
-      crossings, counted as the stacks shift;
+      sinks from depth [a-1] to depth [a]. An access that shifts the top [s]
+      entries of its stack crosses every boundary [a <= s] once, so the
+      engine counts one shift length per access and [evictions a] sums the
+      shifts of length [>= a];
     - exact writeback counts: a line's dirtiness {e as a function of
       capacity} is an up-set [dirty in every a >= dirty_min]: a write dirties
       the line at all capacities, a read re-access at depth [d] reinstalls it
@@ -33,12 +35,22 @@
 type t
 
 val create :
-  ?translate:(int -> int) -> line_size:int -> sets:int -> max_ways:int ->
-  unit -> t
+  ?translate:(int -> int) -> ?cold_lines:bool -> line_size:int -> sets:int ->
+  max_ways:int -> unit -> t
 (** [line_size] and [sets] must be powers of two, [max_ways >= 1].
     [translate] maps each address before line extraction (a physical frame
     placement, e.g. {!Layout.Page_coloring}'s); it must preserve
-    line-in-page containment, which every page-granular frame map does. *)
+    line-in-page containment, which every page-granular frame map does.
+
+    [cold_lines] (default [true]) keeps the cold-line memory: the set of
+    every line ever referenced, two to four words per distinct line, probed
+    on every stack miss. It only splits stack misses into {!cold_misses}
+    and {!overflows}. With [~cold_lines:false] the engine does without it:
+    {!cold_misses}, {!overflows} and {!distinct_lines} raise
+    [Invalid_argument], and every other reading ({!misses}, {!evictions},
+    {!writebacks}, {!histogram}, {!miss_curve}, {!access_traced}) is
+    identical to a tracking engine's. The closed-form sweep evaluators
+    read only those, so they create their engines this way. *)
 
 val max_ways : t -> int
 val sets : t -> int
@@ -77,7 +89,8 @@ val accesses : t -> int
 
 val cold_misses : t -> int
 (** First-touch accesses: infinite stack distance, a miss at every
-    associativity (and at any capacity). *)
+    associativity (and at any capacity). Raises [Invalid_argument] on an
+    engine created with [~cold_lines:false], as do the next two. *)
 
 val overflows : t -> int
 (** Re-accesses beyond the tracked depth: distance [>= max_ways], a miss at
@@ -136,8 +149,9 @@ val merge_into : t -> t -> unit
     [src]'s per-set stacks and cold-line memory, leaving [dst] a fully
     functional engine indistinguishable from one fed both engines' access
     streams serially. Raises [Invalid_argument] when the geometries differ
-    or when both engines have touched the same set — merging is only exact
-    over disjoint set ownership, which the sharded feed guarantees. *)
+    or the cold-line setting, or when both engines have touched the same
+    set — merging is only exact over disjoint set ownership, which the
+    sharded feed guarantees. *)
 
 val of_packed_parallel :
   ?translate:(int -> int) ->

@@ -24,22 +24,52 @@ let run_scenario ?bug (sc : Scenario.t) =
   let cfg = sc.Scenario.cache in
   let w = cfg.Sassoc.ways in
   let accesses = accesses_of sc in
-  let engine =
-    Stack_dist.create ~line_size:cfg.Sassoc.line_size ~sets:cfg.Sassoc.sets
-      ~max_ways:w ()
+  let make cold_lines =
+    Stack_dist.create ~cold_lines ~line_size:cfg.Sassoc.line_size
+      ~sets:cfg.Sassoc.sets ~max_ways:w ()
   in
-  List.iter
-    (fun (a : Memtrace.Access.t) ->
-      (* The planted mrc bug lives here, on the stack-distance side: writes
-         are demoted to reads, losing dirty bits and hence writebacks. *)
-      let kind =
-        if bug = Some Oracle.Mrc && a.kind = Memtrace.Access.Write then
-          Memtrace.Access.Read
-        else a.kind
-      in
-      Stack_dist.access engine ~kind a.addr)
-    accesses;
+  (* [bare] is set up as the closed-form sweep sets up its engines, without
+     the cold-line memory; it must read exactly like [engine] throughout. *)
+  let engine = make true and bare = make false in
   try
+    List.iteri
+      (fun i (a : Memtrace.Access.t) ->
+        (* The planted mrc bug lives here, on the stack-distance side: writes
+           are demoted to reads, losing dirty bits and hence writebacks. *)
+        let kind =
+          if bug = Some Oracle.Mrc && a.kind = Memtrace.Access.Write then
+            Memtrace.Access.Read
+          else a.kind
+        in
+        let ways = 1 + (i mod w) in
+        let seen = Stack_dist.access_traced engine ~kind ~ways a.addr in
+        let seen_bare = Stack_dist.access_traced bare ~kind ~ways a.addr in
+        if seen <> seen_bare then
+          failf "access %d at %d ways: tracking engine saw %d, engine \
+                 without cold lines %d" i ways seen seen_bare)
+      accesses;
+    let pair_bare name a b =
+      if a <> b then
+        failf "%s: tracking engine %d, engine without cold lines %d" name a b
+    in
+    pair_bare "accesses" (Stack_dist.accesses engine) (Stack_dist.accesses bare);
+    if Stack_dist.histogram engine <> Stack_dist.histogram bare then
+      failf "histograms differ without cold lines";
+    if Stack_dist.miss_curve engine <> Stack_dist.miss_curve bare then
+      failf "miss curves differ without cold lines";
+    for ways = 1 to w do
+      let at name f =
+        pair_bare
+          (Printf.sprintf "%s at %d ways" name ways)
+          (f engine ~ways) (f bare ~ways)
+      in
+      at "misses" Stack_dist.misses;
+      at "evictions" Stack_dist.evictions;
+      at "writebacks" Stack_dist.writebacks
+    done;
+    (match Stack_dist.cold_misses bare with
+    | n -> failf "cold_misses read %d on an engine without cold lines" n
+    | exception Invalid_argument _ -> ());
     (* Internal conservation first: every access is cold, overflowed or at an
        exact depth, and the curve's endpoints are pinned. *)
     let hist_total = Array.fold_left ( + ) 0 (Stack_dist.histogram engine) in

@@ -12,12 +12,18 @@
     what lets the sweep experiments read whole configuration curves out of
     one pass. The cold/overflow split is pinned too: [cold_misses] and
     [distinct_lines] must equal a naive count of first line touches, and
-    [overflows] the [W]-way misses minus that count. *)
+    [overflows] the [W]-way misses minus that count. A second engine,
+    created with [~cold_lines:false] as the closed-form sweep creates its
+    engines, is fed the same stream: every per-access
+    {!Cache.Stack_dist.access_traced} outcome (at an associativity that
+    rotates through [1..W]), the histogram, the miss curve and every
+    associativity's misses, evictions and writebacks must equal the
+    tracking engine's, and its [cold_misses] must raise. *)
 
 type divergence = {
   step : int;
-      (** always the event count: the engine is compared only after the full
-          replay (a per-associativity curve has no per-event observable) *)
+      (** always the event count, also for a per-access mismatch, whose
+          access index is in [detail] *)
   detail : string;
 }
 

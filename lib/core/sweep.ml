@@ -97,15 +97,18 @@ type plan = {
    cache hit needing no engine (and out-of-range accesses to such a page
    would miss into the pinned columns — [Infeasible]). An access to a page
    the map does not claim is traffic the decomposition cannot attribute to
-   an isolated group — [Infeasible]. *)
+   an isolated group — [Infeasible]. The group engines leave out the
+   cold-line memory: pricing reads misses, evictions and writebacks, never
+   the cold/overflow split. *)
 let eval ?translate ?requests ~cache ~timing ~page_size ~tlb_entries plan
     packed_list =
   let { scratch; uncached; page_map; group_ways; setup } = plan in
   let groups =
     Array.map
       (fun ways ->
-        Stack_dist.create ?translate ~line_size:cache.Sassoc.line_size
-          ~sets:cache.Sassoc.sets ~max_ways:ways ())
+        Stack_dist.create ?translate ~cold_lines:false
+          ~line_size:cache.Sassoc.line_size ~sets:cache.Sassoc.sets
+          ~max_ways:ways ())
       group_ways
   in
   let page_of = page_fn page_size in

@@ -31,10 +31,13 @@ let set_tint_region t ~base ~size tint =
   done;
   last - first + 1
 
+(* Untinted tables (every sweep's) answer without hashing the page. *)
 let tint_of_page t page =
-  match Hashtbl.find_opt t.entries page with
-  | Some tint -> tint
-  | None -> t.default_tint
+  if Hashtbl.length t.entries = 0 then t.default_tint
+  else
+    match Hashtbl.find_opt t.entries page with
+    | Some tint -> tint
+    | None -> t.default_tint
 
 let tint_of_addr t addr = tint_of_page t (page_of_addr t addr)
 

@@ -10,11 +10,14 @@ module Sampled = Cache.Stack_dist.Sampled
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* Draws drop the LCG's low 8 bits: those cycle with a short period, and
+   for most seeds [rand 4] on them never came up 0 between address draws,
+   so those traces had no write. *)
 let lcg seed =
   let state = ref seed in
   fun bound ->
     state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-    !state mod bound
+    (!state lsr 8) mod bound
 
 (* Feed the same deterministic stream to any number of engines. *)
 let replay ~accesses ~addr_space seed feed =

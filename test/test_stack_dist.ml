@@ -17,12 +17,15 @@ module Sweep = Colcache.Sweep
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-(* Deterministic address/kind stream (LCG), so failures replay. *)
+(* Deterministic address/kind stream (LCG), so failures replay. Draws drop
+   the low 8 bits: the low bits of a power-of-two LCG cycle with a short
+   period, and [rand 4] on them never came up 0 between address draws for
+   the seeds below, so no trace had a write. *)
 let lcg seed =
   let state = ref seed in
   fun bound ->
     state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-    !state mod bound
+    (!state lsr 8) mod bound
 
 (* --- engine vs. Sassoc, field by field --- *)
 
@@ -136,6 +139,93 @@ let test_miss_curve_shape () =
       curve.(a);
     check_bool "nonincreasing (LRU inclusion)" true (curve.(a) <= curve.(a - 1))
   done
+
+(* --- engines without the cold-line memory --- *)
+
+let test_evictions_hand_trace () =
+  (* 1 set, 2 ways, A B C A: B's fill pushes A across boundary 1; C's pushes
+     B across 1 and A across 2 (off the stack); the overflowed A pushes C
+     across 1 and B across 2. Three evictions at 1 way, two at 2 ways —
+     with or without the cold-line memory. *)
+  List.iter
+    (fun cold_lines ->
+      let engine =
+        Stack_dist.create ~cold_lines ~line_size:16 ~sets:1 ~max_ways:2 ()
+      in
+      List.iter
+        (fun a -> Stack_dist.access engine ~kind:Access.Read a)
+        [ 0; 16; 32; 0 ];
+      check_int "evictions at 1 way" 3 (Stack_dist.evictions engine ~ways:1);
+      check_int "evictions at 2 ways" 2 (Stack_dist.evictions engine ~ways:2);
+      Stack_dist.reset_counts engine;
+      check_int "1 way after reset" 0 (Stack_dist.evictions engine ~ways:1);
+      check_int "2 ways after reset" 0 (Stack_dist.evictions engine ~ways:2))
+    [ true; false ]
+
+let test_no_cold_lines_readings_raise () =
+  let engine =
+    Stack_dist.create ~cold_lines:false ~line_size:16 ~sets:1 ~max_ways:2 ()
+  in
+  List.iter
+    (fun a -> Stack_dist.access engine ~kind:Access.Read a)
+    [ 0; 16; 32; 0 ];
+  let raises name f =
+    check_bool name true
+      (match f engine with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  raises "cold_misses" Stack_dist.cold_misses;
+  raises "overflows" Stack_dist.overflows;
+  raises "distinct_lines" Stack_dist.distinct_lines;
+  raises "merge into a tracking engine" (fun e ->
+      Stack_dist.merge_into
+        (Stack_dist.create ~line_size:16 ~sets:1 ~max_ways:2 ())
+        e);
+  check_int "misses still read" 4 (Stack_dist.misses engine ~ways:2)
+
+(* A geometry (1..8 sets, 1..16 ways) and a trace of (address, write,
+   reported associativity) over 64 lines of 16 bytes. *)
+let arb_geometry_trace =
+  QCheck.make
+    ~print:(fun (sets, max_ways, ops) ->
+      Printf.sprintf "sets=%d max_ways=%d [%s]" sets max_ways
+        (String.concat "; "
+           (List.map
+              (fun (a, w, t) ->
+                Printf.sprintf "%d%s@%d" a (if w then "W" else "R") t)
+              ops)))
+    QCheck.Gen.(
+      int_bound 3 >>= fun log_sets ->
+      int_range 1 16 >>= fun max_ways ->
+      list_size (int_bound 300)
+        (triple (int_bound 1023) bool (int_range 1 max_ways))
+      >|= fun ops -> (1 lsl log_sets, max_ways, ops))
+
+let prop_no_cold_lines_same_readings =
+  QCheck.Test.make ~name:"engine without cold lines = tracking engine"
+    ~count:300 arb_geometry_trace (fun (sets, max_ways, ops) ->
+      let make cold_lines =
+        Stack_dist.create ~cold_lines ~line_size:16 ~sets ~max_ways ()
+      in
+      let tracking = make true and bare = make false in
+      List.for_all
+        (fun (addr, write, ways) ->
+          let kind = if write then Access.Write else Access.Read in
+          Stack_dist.access_traced tracking ~kind ~ways addr
+          = Stack_dist.access_traced bare ~kind ~ways addr)
+        ops
+      && Stack_dist.accesses tracking = Stack_dist.accesses bare
+      && Stack_dist.histogram tracking = Stack_dist.histogram bare
+      && Stack_dist.miss_curve tracking = Stack_dist.miss_curve bare
+      && List.for_all
+           (fun ways ->
+             Stack_dist.misses tracking ~ways = Stack_dist.misses bare ~ways
+             && Stack_dist.evictions tracking ~ways
+                = Stack_dist.evictions bare ~ways
+             && Stack_dist.writebacks tracking ~ways
+                = Stack_dist.writebacks bare ~ways)
+           (List.init max_ways (fun i -> i + 1)))
 
 let hot_walk_pipeline =
   lazy
@@ -351,6 +441,11 @@ let suites =
           test_cold_overflow_hand_trace;
         Alcotest.test_case "miss curve shape" `Quick test_miss_curve_shape;
         Alcotest.test_case "per-tag totals" `Quick test_per_tag_totals;
+        Alcotest.test_case "evictions hand trace" `Quick
+          test_evictions_hand_trace;
+        Alcotest.test_case "no cold lines: split readings raise" `Quick
+          test_no_cold_lines_readings_raise;
+        QCheck_alcotest.to_alcotest prop_no_cold_lines_same_readings;
       ] );
     ( "core.sweep",
       [
