@@ -1,15 +1,14 @@
 (* Open addressing over unboxed int arrays: power-of-two capacity, load at
    most 1/2, linear probing, backward-shift deletion (no tombstones, so
    probe runs stay short after removals). [empty] marks a free slot; the
-   key that equals it lives outside the array, in [has_empty] and
-   [empty_val]. One representation serves both modules: a set's [vals] is
-   the shared empty array, so it costs one word per slot. *)
+   key that equals it lives outside the arrays, in [has_empty] and
+   [empty_val]. *)
 
 let empty = min_int
 
 type t = {
   mutable keys : int array;
-  mutable vals : int array;  (* [||] in a set *)
+  mutable vals : int array;
   mutable shift : int;  (* [Sys.int_size - log2 capacity] *)
   mutable count : int;  (* keys in the array *)
   mutable has_empty : bool;
@@ -30,71 +29,36 @@ let rec probe keys mask key i =
 let[@inline] slot t key =
   probe t.keys (Array.length t.keys - 1) key (home t.shift key)
 
-let make ~with_vals n =
-  (* at least twice [n] slots, at least 8 *)
-  let rec bits b = if 1 lsl b >= 2 * n then b else bits (b + 1) in
-  let size = 1 lsl bits 3 in
-  {
-    keys = Array.make size empty;
-    vals = (if with_vals then Array.make size 0 else [||]);
-    shift = Sys.int_size - bits 3;
-    count = 0;
-    has_empty = false;
-    empty_val = 0;
-  }
-
 let grow t =
   let old_keys = t.keys and old_vals = t.vals in
   let size = 2 * Array.length old_keys in
   t.keys <- Array.make size empty;
-  let with_vals = Array.length old_vals > 0 in
-  if with_vals then t.vals <- Array.make size 0;
+  t.vals <- Array.make size 0;
   t.shift <- t.shift - 1;
   Array.iteri
     (fun j k ->
       if k <> empty then begin
         let i = slot t k in
         Array.unsafe_set t.keys i k;
-        if with_vals then
-          Array.unsafe_set t.vals i (Array.unsafe_get old_vals j)
+        Array.unsafe_set t.vals i (Array.unsafe_get old_vals j)
       end)
     old_keys
-
-(* Store [key] in the free slot [i] (a map writes the value first). *)
-let fill t i key =
-  Array.unsafe_set t.keys i key;
-  t.count <- t.count + 1;
-  if 2 * t.count > Array.length t.keys then grow t
-
-module Set = struct
-  type nonrec t = t
-
-  let create n = make ~with_vals:false n
-  let length t = t.count + Bool.to_int t.has_empty
-
-  let add t key =
-    if key = empty then begin
-      let fresh = not t.has_empty in
-      t.has_empty <- true;
-      fresh
-    end
-    else
-      let i = slot t key in
-      Array.unsafe_get t.keys i <> key
-      && begin
-           fill t i key;
-           true
-         end
-
-  let iter f t =
-    if t.has_empty then f empty;
-    Array.iter (fun k -> if k <> empty then f k) t.keys
-end
 
 module Map = struct
   type nonrec t = t
 
-  let create n = make ~with_vals:true n
+  let create n =
+    (* at least twice [n] slots, at least 8 *)
+    let rec bits b = if 1 lsl b >= 2 * n then b else bits (b + 1) in
+    let size = 1 lsl bits 3 in
+    {
+      keys = Array.make size empty;
+      vals = Array.make size 0;
+      shift = Sys.int_size - bits 3;
+      count = 0;
+      has_empty = false;
+      empty_val = 0;
+    }
 
   let find t key ~default =
     if key = empty then if t.has_empty then t.empty_val else default
@@ -111,11 +75,15 @@ module Map = struct
     else
       let i = slot t key in
       Array.unsafe_set t.vals i v;
-      if Array.unsafe_get t.keys i <> key then fill t i key
+      if Array.unsafe_get t.keys i <> key then begin
+        Array.unsafe_set t.keys i key;
+        t.count <- t.count + 1;
+        if 2 * t.count > Array.length t.keys then grow t
+      end
 
-  (* Backward-shift deletion: walk the probe run after the hole and pull
-     back every key whose home does not lie cyclically in (hole, j], so the
-     run stays gap-free. *)
+  (* Backward-shift deletion: walk the probe run after the hole and pull back
+     every key whose home does not lie cyclically in (hole, j], so the run
+     stays gap-free. *)
   let remove t key =
     if key = empty then t.has_empty <- false
     else
@@ -143,4 +111,5 @@ module Map = struct
     Array.fill t.keys 0 (Array.length t.keys) empty;
     t.count <- 0;
     t.has_empty <- false
+
 end

@@ -55,7 +55,7 @@ type t = {
   dirty : Bytes.t;
   policy : Policy.t;
   stats : Stats.t;
-  seen_lines : Int_table.Set.t;  (* for cold-miss detection *)
+  seen_lines : Line_set.t;  (* for cold-miss detection *)
   shadow : Lru_set.t option;  (* fully-associative same-capacity LRU *)
 }
 
@@ -77,7 +77,7 @@ let create cfg =
     dirty = Bytes.make n '\000';
     policy = Policy.create cfg.policy ~sets:cfg.sets ~ways:cfg.ways;
     stats = Stats.create ~ways:cfg.ways;
-    seen_lines = Int_table.Set.create (if cfg.classify then 4096 else 0);
+    seen_lines = Line_set.create ();
     shadow = (if cfg.classify then Some (Lru_set.create ~capacity:n) else None);
   }
 
@@ -115,7 +115,7 @@ let classify_miss t line =
   match t.shadow with
   | None -> ()
   | Some shadow ->
-      let cold = Int_table.Set.add t.seen_lines line in
+      let cold = Line_set.add t.seen_lines line in
       if cold then t.stats.cold_misses <- t.stats.cold_misses + 1;
       let shadow_hit = Lru_set.mem shadow line in
       if not cold then

@@ -31,7 +31,7 @@ type t = {
   (* Lines ever referenced (cold detection), [None] when the engine was
      created without it. Every line in a stack is in it, so only stack
      misses probe it. *)
-  seen : Int_table.Set.t option;
+  seen : Line_set.t option;
 }
 
 let create ?translate ?(cold_lines = true) ~line_size ~sets ~max_ways () =
@@ -55,7 +55,7 @@ let create ?translate ?(cold_lines = true) ~line_size ~sets ~max_ways () =
     stack_misses = 0;
     cold = 0;
     n_accesses = 0;
-    seen = (if cold_lines then Some (Int_table.Set.create 512) else None);
+    seen = (if cold_lines then Some (Line_set.create ()) else None);
   }
 
 let max_ways t = t.w
@@ -134,7 +134,7 @@ let touch_raw t ~write ~counted ~traced addr =
   Array.unsafe_set lines base line;
   Array.unsafe_set dirty base
     (if write then 1
-     else if d >= 0 then min (w + 1) (max !old_dirty (d + 1))
+     else if d >= 0 then Int.min (w + 1) (Int.max !old_dirty (d + 1))
      else w + 1);
   if counted then t.n_accesses <- t.n_accesses + 1;
   if d >= 0 then begin
@@ -143,7 +143,7 @@ let touch_raw t ~write ~counted ~traced addr =
   end
   else begin
     let first =
-      match t.seen with Some s -> Int_table.Set.add s line | None -> false
+      match t.seen with Some s -> Line_set.add s line | None -> false
     in
     if counted then begin
       t.stack_misses <- t.stack_misses + 1;
@@ -201,7 +201,7 @@ let overflows t =
   ignore (seen_lines t "overflows");
   t.stack_misses - t.cold
 
-let distinct_lines t = Int_table.Set.length (seen_lines t "distinct_lines")
+let distinct_lines t = Line_set.length (seen_lines t "distinct_lines")
 let histogram t = Array.copy t.hist
 
 let check_ways t a name =
@@ -293,8 +293,8 @@ let per_tag_of_packed ?translate ~line_size ~sets ~max_ways p =
    of disjoint per-set counts, so the merged readings are byte-identical to
    the serial engine's for any [K]. The cold/overflow split survives too:
    [seen] is keyed by whole line addresses and a line belongs to exactly one
-   set, so the shard [seen] tables are disjoint and their union is the
-   serial table. *)
+   set, so the shard [seen] sets are disjoint and their union, taken page
+   by page, is the serial set. *)
 
 let check_shard ~shards ~shard ~sets name =
   if shards < 1 then
@@ -360,8 +360,7 @@ let merge_into dst src =
   dst.cold <- dst.cold + src.cold;
   dst.n_accesses <- dst.n_accesses + src.n_accesses;
   match (dst.seen, src.seen) with
-  | Some d, Some s ->
-      Int_table.Set.iter (fun line -> ignore (Int_table.Set.add d line)) s
+  | Some d, Some s -> Line_set.union_into d s
   | _ -> ()
 
 (* Chunked [Packed.sub] views keep every worker streaming the (possibly
@@ -486,6 +485,7 @@ module Sampled = struct
     translate : (int -> int) option;
     line_shift : int;
     set_mask : int;
+    set_bits : int;
     n_sets : int;
     w : int;
     rate : float; (* nominal, as requested *)
@@ -532,7 +532,8 @@ module Sampled = struct
           let set = order.(p) in
           {
             (* the wrapper translates and routes; each selected set is an
-               exact single-set engine over already-translated addresses *)
+               exact single-set engine over the tags of its lines (see
+               [tag_addr]) *)
             engine = create ~line_size ~sets:1 ~max_ways ();
             set;
             hash = hashes.(set);
@@ -545,6 +546,7 @@ module Sampled = struct
       translate;
       line_shift = log2 line_size;
       set_mask = sets - 1;
+      set_bits = log2 sets;
       n_sets = sets;
       w = max_ways;
       rate;
@@ -568,6 +570,14 @@ module Sampled = struct
     t.threshold <- e.hash;
     t.evictions <- t.evictions + 1
 
+  (* A selected set's engine sees the address of the line's tag (the line
+     with its set bits stripped). Tags are one-to-one with the set's lines,
+     so every reading is unchanged, and neighbouring lines of the set get
+     neighbouring numbers, which keeps the engine's cold-line pages dense
+     whatever the set count. *)
+  let[@inline] tag_addr t taddr =
+    (taddr lsr (t.line_shift + t.set_bits)) lsl t.line_shift
+
   let feed t ~write addr =
     t.offered <- t.offered + 1;
     let taddr = match t.translate with None -> addr | Some f -> f addr in
@@ -575,7 +585,7 @@ module Sampled = struct
     let p = Array.unsafe_get t.pos_of_set set in
     if p >= 0 then begin
       let e = Array.unsafe_get t.entries p in
-      touch e.engine ~write ~counted:true taddr;
+      touch e.engine ~write ~counted:true (tag_addr t taddr);
       let d = distinct_lines e.engine in
       if d <> e.distinct then begin
         t.total_distinct <- t.total_distinct + (d - e.distinct);
@@ -634,7 +644,7 @@ module Sampled = struct
           let e = Array.unsafe_get t.entries p in
           touch e.engine
             ~write:(Bigarray.Array1.unsafe_get kinds i = '\001')
-            ~counted:true taddr;
+            ~counted:true (tag_addr t taddr);
           let d = distinct_lines e.engine in
           if d <> e.distinct then begin
             t.total_distinct <- t.total_distinct + (d - e.distinct);
@@ -787,18 +797,18 @@ end
    the live engine accumulates the current epoch's counters; when the
    epoch fills, the counters are snapshotted into the ring slot holding
    the oldest epoch (retiring that whole epoch at once) and
-   [reset_counts] zeroes the engine's counters while keeping its stacks
-   and cold-line memory. Amortized cost per access is the ordinary touch
-   plus O(max_ways / epoch_len) for the snapshot — O(1) for any real
-   epoch length.
+   [reset_counts] zeroes the engine's counters while keeping its stacks.
+   Amortized cost per access is the ordinary touch plus
+   O(max_ways / epoch_len) for the snapshot — O(1) for any real epoch
+   length.
 
    The readings sum the live ring slots plus the partial current epoch,
    so they cover between [window] and [window + epoch_len - 1] recent
-   accesses (whole-epoch granularity). Stack contents and the cold-line
-   memory deliberately persist across retirement — depths are measured
-   against true recency, only the counts age out — so a line first seen
-   in a retired epoch re-counts as an overflow rather than a cold miss,
-   the standard rolling approximation. While the total observed is at
+   accesses (whole-epoch granularity). Stack contents deliberately persist
+   across retirement — depths are measured against true recency, only the
+   counts age out, the standard rolling approximation. The readings count
+   stack misses without splitting them into cold and overflow, so the
+   engine keeps no cold-line memory. While the total observed is at
    most [window], nothing has retired and every reading equals the
    one-shot engine's exactly, which the property suite pins. *)
 module Windowed = struct
@@ -836,7 +846,8 @@ module Windowed = struct
             epochs %d"
            window epochs);
     {
-      engine = create ?translate ~line_size ~sets ~max_ways ();
+      (* the readings use stack misses only, never their cold split *)
+      engine = create ?translate ~cold_lines:false ~line_size ~sets ~max_ways ();
       win = window;
       epoch_len = window / epochs;
       n_epochs = epochs;
@@ -858,7 +869,7 @@ module Windowed = struct
 
   (* Seal the full current epoch into the ring: overwrite the oldest slot
      (retiring its sub-histogram wholesale) and zero the live counters,
-     keeping stacks and the cold-line memory. *)
+     keeping the stacks. *)
   let seal t =
     let slot = t.head in
     if t.live = t.n_epochs then t.retired <- t.retired + 1

@@ -43,9 +43,10 @@ val create :
     line-in-page containment, which every page-granular frame map does.
 
     [cold_lines] (default [true]) keeps the cold-line memory: the set of
-    every line ever referenced, two to four words per distinct line, probed
-    on every stack miss. It only splits stack misses into {!cold_misses}
-    and {!overflows}. With [~cold_lines:false] the engine does without it:
+    every line ever referenced, a {!Line_set} probed on every stack miss
+    (about a bit per line on a dense footprint, about 80 bytes per
+    isolated line). It only splits stack misses into {!cold_misses} and
+    {!overflows}. With [~cold_lines:false] the engine does without it:
     {!cold_misses}, {!overflows} and {!distinct_lines} raise
     [Invalid_argument], and every other reading ({!misses}, {!evictions},
     {!writebacks}, {!histogram}, {!miss_curve}, {!access_traced}) is
@@ -148,7 +149,8 @@ val merge_into : t -> t -> unit
 (** [merge_into dst src] adds [src]'s counters into [dst] and adopts
     [src]'s per-set stacks and cold-line memory, leaving [dst] a fully
     functional engine indistinguishable from one fed both engines' access
-    streams serially. Raises [Invalid_argument] when the geometries differ
+    streams serially. The memories merge with {!Line_set.union_into}, at a
+    cost that follows [src]'s touched pages, not its distinct lines. Raises [Invalid_argument] when the geometries differ
     or the cold-line setting, or when both engines have touched the same
     set — merging is only exact over disjoint set ownership, which the
     sharded feed guarantees. *)
@@ -203,7 +205,10 @@ val per_tag_of_packed :
     Selection is a prefix of the sets ordered by (hash, set index), so the
     sample locations at a lower rate are a subset of those at any higher
     rate (threshold monotonicity), and identical inputs always produce
-    identical histograms. The fixed-budget variant caps distinct sampled
+    identical histograms. Each selected set's engine is fed the tags of
+    its lines (the set bits stripped), which are one-to-one with the lines
+    and keep its cold-line memory dense whatever the set count. The
+    fixed-budget variant caps distinct sampled
     lines: exceeding [budget] evicts the selected set with the largest hash
     and lowers the effective [T] to that hash, the evicted set's whole
     contribution leaving the estimate — rescaling on eviction at set
@@ -326,10 +331,11 @@ end
     whole epoch buckets instead of unwinding individual accesses (which a
     Mattson engine cannot do). The live engine accumulates the current
     epoch; a full epoch is snapshotted into the slot holding the oldest one
-    and the counters reset, stacks and cold-line memory persisting — depths
-    stay measured against true recency, only the counts age out (a line
-    first seen in a retired epoch re-counts as overflow, not cold: the
-    standard rolling approximation). Readings cover the live epochs plus
+    and the counters reset, the stacks persisting — depths stay measured
+    against true recency, only the counts age out (the standard rolling
+    approximation). The readings use stack misses without the cold/overflow
+    split, so the engine keeps no cold-line memory
+    ([Stack_dist.create ~cold_lines:false]). Readings cover the live epochs plus
     the partial one — between [window] and [window + window/epochs - 1]
     accesses. While the total observed is at most [window], nothing has
     retired and every reading equals the one-shot engine's exactly; the

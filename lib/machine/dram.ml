@@ -95,7 +95,7 @@ let request t ~now ~addr =
     else now
   in
   let b = t.bank_state.(bank) in
-  let start = max admitted b.next_free in
+  let start = Int.max admitted b.next_free in
   let row_hit = b.open_row = row_id in
   let service = if row_hit then t.row_hit_cycles else t.row_conflict_cycles in
   let finish = start + service in

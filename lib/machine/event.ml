@@ -82,7 +82,7 @@ let miss t ~line ~addr ~victim ~l2_hit =
    but never block the core or retire a request. *)
 let prefetch t ~addr = ignore (Dram.request t.dram ~now:t.now ~addr)
 
-let finish t = max t.now t.drain
+let finish t = Int.max t.now t.drain
 let merges t = Mshr.merges t.mshr
 let mshr_stalls t = Mshr.stalls t.mshr
 let dram_stats t = Dram.stats t.dram

@@ -54,7 +54,7 @@ let acquire t ~now =
     end
   done;
   t.allocations <- t.allocations + 1;
-  let ready = max now !best_done in
+  let ready = Int.max now !best_done in
   if ready > now then t.stalls <- t.stalls + 1;
   (!best, ready)
 

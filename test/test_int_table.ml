@@ -1,4 +1,4 @@
-(* Model tests for [Cache.Int_table] against Stdlib [Hashtbl]: random
+(* Model tests for [Cache.Int_table.Map] against Stdlib [Hashtbl]: random
    operation sequences over keys that include [min_int] (the free-slot
    sentinel), [max_int], negatives and strided values, long enough to grow
    the table through several resizes; plus an exhaustive small-table
@@ -7,7 +7,7 @@
 module Int_table = Cache.Int_table
 
 type op =
-  | Add of int  (* set add / map replace k k *)
+  | Add of int  (* replace k k *)
   | Replace of int * int
   | Find of int
   | Remove of int
@@ -50,36 +50,6 @@ let arb_ops =
   QCheck.make
     ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
     QCheck.Gen.(list_size (int_range 0 800) gen_op)
-
-let sorted_keys tbl =
-  List.sort compare (Hashtbl.fold (fun k _ a -> k :: a) tbl [])
-
-(* The set's API is [add] (whose result doubles as a membership probe),
-   [length] and [iter]; the other ops are no-ops on both sides, apart from
-   [Clear], which starts a fresh set. *)
-let prop_set_model =
-  QCheck.Test.make ~name:"int_table set matches Hashtbl" ~count:300 arb_ops
-    (fun ops ->
-      let s = ref (Int_table.Set.create 0) in
-      let model = Hashtbl.create 16 in
-      List.for_all
-        (fun op ->
-          (match op with
-          | Add k | Replace (k, _) ->
-              let fresh = not (Hashtbl.mem model k) in
-              Hashtbl.replace model k ();
-              Int_table.Set.add !s k = fresh
-          | Find _ | Remove _ -> true
-          | Iter ->
-              let seen = ref [] in
-              Int_table.Set.iter (fun k -> seen := k :: !seen) !s;
-              List.sort compare !seen = sorted_keys model
-          | Clear ->
-              s := Int_table.Set.create 0;
-              Hashtbl.reset model;
-              true)
-          && Int_table.Set.length !s = Hashtbl.length model)
-        ops)
 
 (* Only keys named by some op can ever be inserted, so probing every one of
    them after each op also catches a key the map should not hold. *)
@@ -164,10 +134,6 @@ let test_map_small_table_deletes () =
     (subsets 4 keys)
 
 let test_sentinel_key () =
-  let s = Int_table.Set.create 0 in
-  Alcotest.(check bool) "min_int new" true (Int_table.Set.add s min_int);
-  Alcotest.(check bool) "min_int again" false (Int_table.Set.add s min_int);
-  Alcotest.(check int) "length" 1 (Int_table.Set.length s);
   let m = Int_table.Map.create 0 in
   Int_table.Map.replace m min_int 7;
   Alcotest.(check int) "find min_int" 7
@@ -182,7 +148,6 @@ let suites =
         Alcotest.test_case "sentinel key" `Quick test_sentinel_key;
         Alcotest.test_case "small-table deletes" `Quick
           test_map_small_table_deletes;
-        QCheck_alcotest.to_alcotest prop_set_model;
         QCheck_alcotest.to_alcotest prop_map_model;
       ] );
   ]

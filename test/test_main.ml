@@ -9,4 +9,4 @@ let () =
    @ Test_addr_decomp.suites @ Test_csv_export.suites @ Test_bench_json.suites
    @ Test_workload_gen.suites @ Test_packed_file.suites @ Test_sampled.suites
    @ Test_wcet.suites @ Test_event.suites @ Test_shard.suites
-   @ Test_int_table.suites @ Test_cli.suites)
+   @ Test_int_table.suites @ Test_line_set.suites @ Test_cli.suites)

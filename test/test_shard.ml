@@ -326,6 +326,68 @@ let test_incremental_basics () =
          Inc.create ~window:64 ~epochs:4 ~line_size:16 ~sets:8 ~max_ways:4
            ~columns:1 [ "a"; "b" ]))
 
+(* A phase-swap trace over two tenants: "a" roams 48 lines while "b" sits
+   on 3, then they swap, then swap back, with epochs retiring throughout.
+   Each checkpoint's windowed curves and allocation are pinned to the
+   readings of an engine that kept the cold-line memory: the windowed
+   engine reads stack misses only, so doing without the memory changes
+   nothing. *)
+let phase_swap_readings () =
+  let module Inc = Layout.Mrc_alloc.Incremental in
+  let inc =
+    Inc.create ~window:512 ~epochs:4 ~line_size:16 ~sets:8 ~max_ways:4
+      ~columns:4 [ "a"; "b" ]
+  in
+  let rng = Workloads.Prng.create ~seed:15 in
+  let feed tenant ~base ~lines =
+    let kind =
+      if Workloads.Prng.chance rng 0.3 then Access.Write else Access.Read
+    in
+    Inc.observe inc ~tenant ~kind (base + (16 * Workloads.Prng.int rng lines))
+  in
+  let readings = ref [] in
+  List.iter
+    (fun (a_lines, b_lines) ->
+      for i = 1 to 768 do
+        feed "a" ~base:0 ~lines:a_lines;
+        feed "b" ~base:0x10000 ~lines:b_lines;
+        if i mod 384 = 0 then
+          readings :=
+            ( List.map
+                (fun (name, c) -> (name, Array.map int_of_float c))
+                (Inc.curves_now inc),
+              Inc.allocate_now inc )
+            :: !readings
+      done)
+    [ (48, 3); (3, 48); (48, 3) ];
+  List.rev !readings
+
+let test_windowed_phase_swap_pinned () =
+  let expected =
+    [
+      ( [ ("a", [| 384; 331; 259; 193; 139 |]); ("b", [| 384; 3; 3; 3; 3 |]) ],
+        [ ("a", 3); ("b", 1) ] );
+      ( [ ("a", [| 512; 430; 331; 246; 162 |]); ("b", [| 512; 0; 0; 0; 0 |]) ],
+        [ ("a", 3); ("b", 1) ] );
+      ( [
+          ("a", [| 512; 109; 86; 71; 46 |]); ("b", [| 512; 328; 270; 214; 158 |]);
+        ],
+        [ ("a", 1); ("b", 3) ] );
+      ( [ ("a", [| 512; 0; 0; 0; 0 |]); ("b", [| 512; 437; 381; 285; 186 |]) ],
+        [ ("a", 1); ("b", 3) ] );
+      ( [
+          ("a", [| 512; 319; 256; 188; 121 |]); ("b", [| 512; 104; 90; 68; 47 |]);
+        ],
+        [ ("a", 3); ("b", 1) ] );
+      ( [ ("a", [| 512; 424; 327; 248; 166 |]); ("b", [| 512; 0; 0; 0; 0 |]) ],
+        [ ("a", 3); ("b", 1) ] );
+    ]
+  in
+  List.iteri
+    (fun k (got, want) ->
+      check_bool (Printf.sprintf "checkpoint %d" k) true (got = want))
+    (List.combine (phase_swap_readings ()) expected)
+
 (* --- the experiment modules the docs cite --- *)
 
 let test_experiment_mrc_scaling () =
@@ -383,6 +445,8 @@ let suites =
       [
         Alcotest.test_case "incremental allocator basics" `Quick
           test_incremental_basics;
+        Alcotest.test_case "windowed phase swap (pinned)" `Quick
+          test_windowed_phase_swap_pinned;
         Alcotest.test_case "mrc scaling experiment" `Quick
           test_experiment_mrc_scaling;
         Alcotest.test_case "windowed mrc experiment" `Quick
